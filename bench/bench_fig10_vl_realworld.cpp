@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
   LashRouter lash(LashOptions{.max_layers = max_layers});
   DfssspRouter dfsssp(
       DfssspOptions{.max_layers = max_layers, .balance = false});
-  DfssspRouter dfsssp_online(DfssspOptions{
-      .max_layers = max_layers, .balance = false, .online = true});
+  DfssspRouter dfsssp_online(DfssspOptions{.max_layers = max_layers,
+                                           .balance = false,
+                                           .mode = LayeringMode::kOnline});
 
   std::vector<std::string> cert_notes;
   const ExecContext exec = cfg.exec();

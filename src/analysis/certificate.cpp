@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "cdg/cdg.hpp"
+#include "obs/trace.hpp"
 #include "routing/collect.hpp"
 #include "routing/dump.hpp"
 
@@ -33,26 +34,19 @@ struct LayerOrder {
   std::vector<ChannelId> order;
 };
 
-LayerOrder order_one_layer(const PathSet& paths,
-                           std::span<const Layer> layer, Layer which,
-                           std::uint32_t num_channels) {
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    if (layer[p] == which && paths.channels(p).size() >= 2) {
-      members.push_back(p);
-    }
-  }
+LayerOrder order_one_layer(const CdgCore& core, std::span<const Layer> layer,
+                           Layer which) {
+  const std::vector<std::uint8_t> in_layer = core.layer_edges(layer, which);
   LayerOrder result;
-  if (members.empty()) return result;
-
-  Cdg cdg(paths, members, num_channels);
+  const std::uint32_t num_channels = core.num_nodes();
   std::vector<std::uint32_t> indegree(num_channels, 0);
   std::vector<std::uint8_t> present(num_channels, 0);
   for (ChannelId u = 0; u < num_channels; ++u) {
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      ++indegree[e.to];
+    for (std::uint32_t e = core.first_edge(u); e < core.end_edge(u); ++e) {
+      if (!in_layer[e]) continue;
+      ++indegree[core.target(e)];
       present[u] = 1;
-      present[e.to] = 1;
+      present[core.target(e)] = 1;
     }
   }
   std::uint32_t num_present = 0;
@@ -69,8 +63,10 @@ LayerOrder order_one_layer(const PathSet& paths,
     const ChannelId u = ready.top();
     ready.pop();
     result.order.push_back(u);
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      if (--indegree[e.to] == 0) ready.push(e.to);
+    for (std::uint32_t e = core.first_edge(u); e < core.end_edge(u); ++e) {
+      if (in_layer[e] && --indegree[core.target(e)] == 0) {
+        ready.push(core.target(e));
+      }
     }
   }
   if (result.order.size() < num_present) {
@@ -90,10 +86,13 @@ CertificateResult make_certificate(const PathSet& paths,
   for (std::uint32_t p = 0; p < paths.size(); ++p) {
     num_layers = std::max<Layer>(num_layers, layer[p] + 1);
   }
+  const CdgCore core = [&] {
+    TRACE_SPAN("cert/build");
+    return CdgCore(paths, num_channels);
+  }();
   auto per_layer =
       parallel_map(exec, num_layers, [&](std::size_t l) {
-        return order_one_layer(paths, layer, static_cast<Layer>(l),
-                               num_channels);
+        return order_one_layer(core, layer, static_cast<Layer>(l));
       });
   CertificateResult result;
   result.cert.num_layers = num_layers;
@@ -114,6 +113,11 @@ CertificateResult make_certificate(const PathSet& paths,
 CertificateResult make_certificate(const Network& net,
                                    const RoutingTable& table,
                                    const ExecContext& exec) {
+  if (!table.built_for(net)) {
+    CertificateResult result;
+    result.error = "routing table was not built for this network";
+    return result;
+  }
   const PathSet paths = collect_paths(net, table);
   const std::vector<Layer> layers = collect_layers(net, table, paths);
   CertificateResult result = make_certificate(
@@ -263,6 +267,9 @@ CertCheckResult check_certificate(const Network& net,
     return result;
   };
 
+  if (!table.built_for(net)) {
+    return reject("routing table was not built for this network");
+  }
   if (cert.num_layers != table.num_layers()) {
     return reject("layer count mismatch: certificate declares " +
                   std::to_string(unsigned(cert.num_layers)) +
@@ -298,15 +305,17 @@ CertCheckResult check_certificate(const Network& net,
     if (net.terminals_on(sw) == 0 || !net.switch_up(sw)) continue;
     for (NodeId t : net.terminals()) {
       if (net.switch_of(t) == sw || !net.terminal_alive(t)) continue;
-      const std::string pair_name =
-          net.node_name(sw) + " -> " + net.node_name(t);
+      // Only a rejection reads the pair's name.
+      auto pair_name = [&] {
+        return net.node_name(sw) + " -> " + net.node_name(t);
+      };
       if (!table.extract_path(net, sw, t, seq)) {
-        return reject("broken forwarding path " + pair_name +
+        return reject("broken forwarding path " + pair_name() +
                       " (dead end or loop); nothing to certify");
       }
       const Layer l = table.layer(sw, t);
       if (l >= cert.num_layers) {
-        return reject("path " + pair_name + " on layer " +
+        return reject("path " + pair_name() + " on layer " +
                       std::to_string(unsigned(l)) +
                       " beyond the certificate's " +
                       std::to_string(unsigned(cert.num_layers)) + " layers");
@@ -319,14 +328,14 @@ CertCheckResult check_certificate(const Network& net,
           const ChannelId missing = pa == kNoPos ? seq[i] : seq[i + 1];
           return reject("layer " + std::to_string(unsigned(l)) +
                         ": channel " + channel_name(net, missing) +
-                        " used by path " + pair_name +
+                        " used by path " + pair_name() +
                         " is missing from the order");
         }
         if (pa >= pb) {
           return reject("layer " + std::to_string(unsigned(l)) +
                         ": dependency " + channel_name(net, seq[i]) +
                         " => " + channel_name(net, seq[i + 1]) +
-                        " of path " + pair_name +
+                        " of path " + pair_name() +
                         " violates the topological order");
         }
         ++result.deps_checked;

@@ -44,6 +44,9 @@ struct Certificate {
 
 struct CertificateResult {
   bool ok = false;
+  /// Why no certificate could be built for a routing table that is not
+  /// the network's (e.g. a failed route's empty table); empty otherwise.
+  std::string error;
   /// First layer whose CDG is cyclic (when !ok) — feed it to
   /// extract_witness to see why.
   Layer cyclic_layer = kInvalidLayer;
@@ -60,6 +63,7 @@ CertificateResult make_certificate(const PathSet& paths,
                                    const ExecContext& exec = {});
 
 /// Convenience: collect paths and layers out of a finished routing first.
+/// Returns !ok with `error` set when `table` was not built for `net`.
 /// Throws std::runtime_error when a forwarding walk is broken.
 CertificateResult make_certificate(const Network& net,
                                    const RoutingTable& table,
@@ -97,7 +101,8 @@ struct CertCheckResult {
 };
 
 /// The independent checker: validates `cert` against a routing in one
-/// O(V + E) pass with no cycle search. Rejects when the layer counts
+/// O(V + E) pass with no cycle search. Rejects when `table` was not built
+/// for `net`, the layer counts
 /// disagree, a layer's order lists a channel twice, a path's layer has no
 /// order, a dependency's channel is missing from its layer's order, a
 /// dependency violates the order, or a forwarding walk is broken (a path

@@ -14,42 +14,26 @@ namespace {
 
 constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
 
-/// Global edge index of u -> v in the Cdg, or kUnset.
-std::uint32_t find_cdg_edge(const Cdg& cdg, ChannelId u, ChannelId v) {
-  const auto edges = cdg.out_edges(u);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (edges[i].to == v) return cdg.first_edge(u) + static_cast<std::uint32_t>(i);
-  }
-  return kUnset;
-}
-
-}  // namespace
-
-DeadlockWitness extract_witness(const PathSet& paths,
-                                std::span<const Layer> layer, Layer which,
-                                std::uint32_t num_channels,
-                                std::uint32_t max_paths_per_edge) {
+/// The witness of layer `which` over a core built with edge path lists.
+DeadlockWitness witness_for_layer(const CdgCore& core,
+                                  std::span<const Layer> layer, Layer which,
+                                  std::uint32_t max_paths_per_edge) {
   DeadlockWitness witness;
   witness.layer = which;
 
-  std::vector<std::uint32_t> members;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    if (layer[p] == which && paths.channels(p).size() >= 2) {
-      members.push_back(p);
-    }
-  }
-  if (members.empty()) return witness;
-  Cdg cdg(paths, members, num_channels);
+  const std::vector<std::uint8_t> in_layer = core.layer_edges(layer, which);
 
   // Kahn peel; what survives is the cyclic core plus its descendants, and
   // every shortest cycle lives entirely inside it.
+  const std::uint32_t num_channels = core.num_nodes();
   std::vector<std::uint32_t> indegree(num_channels, 0);
   std::vector<std::uint8_t> present(num_channels, 0);
   for (ChannelId u = 0; u < num_channels; ++u) {
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      ++indegree[e.to];
+    for (std::uint32_t e = core.first_edge(u); e < core.end_edge(u); ++e) {
+      if (!in_layer[e]) continue;
+      ++indegree[core.target(e)];
       present[u] = 1;
-      present[e.to] = 1;
+      present[core.target(e)] = 1;
     }
   }
   std::queue<ChannelId> ready;
@@ -61,8 +45,10 @@ DeadlockWitness extract_witness(const PathSet& paths,
     const ChannelId u = ready.front();
     ready.pop();
     residual[u] = 0;
-    for (const Cdg::Edge& e : cdg.out_edges(u)) {
-      if (--indegree[e.to] == 0) ready.push(e.to);
+    for (std::uint32_t e = core.first_edge(u); e < core.end_edge(u); ++e) {
+      if (in_layer[e] && --indegree[core.target(e)] == 0) {
+        ready.push(core.target(e));
+      }
     }
   }
   bool any_residual = false;
@@ -88,9 +74,10 @@ DeadlockWitness extract_witness(const PathSet& paths,
       const ChannelId u = bfs.front();
       bfs.pop();
       if (!best_cycle.empty() && dist[u] + 1 >= best_cycle.size()) break;
-      for (const Cdg::Edge& e : cdg.out_edges(u)) {
-        if (!residual[e.to]) continue;
-        if (e.to == s) {
+      for (std::uint32_t e = core.first_edge(u); e < core.end_edge(u); ++e) {
+        const ChannelId to = core.target(e);
+        if (!in_layer[e] || !residual[to]) continue;
+        if (to == s) {
           // Cycle s -> ... -> u -> s of length dist[u] + 1.
           std::vector<ChannelId> cycle;
           for (ChannelId n = u; n != kUnset; n = parent[n]) cycle.push_back(n);
@@ -101,26 +88,27 @@ DeadlockWitness extract_witness(const PathSet& paths,
           closed = true;
           break;
         }
-        if (dist[e.to] == kUnset) {
-          dist[e.to] = dist[u] + 1;
-          parent[e.to] = u;
-          bfs.push(e.to);
+        if (dist[to] == kUnset) {
+          dist[to] = dist[u] + 1;
+          parent[to] = u;
+          bfs.push(to);
         }
       }
     }
   }
 
+  // Every cycle edge is a layer edge; its examples are the lowest-indexed
+  // member paths that induce it.
+  const PathSet& paths = core.paths();
   for (std::size_t i = 0; i < best_cycle.size(); ++i) {
-    const ChannelId u = best_cycle[i];
-    const ChannelId v = best_cycle[(i + 1) % best_cycle.size()];
-    const std::uint32_t edge_index = find_cdg_edge(cdg, u, v);
     WitnessEdge edge;
-    edge.from = u;
-    edge.to = v;
-    if (edge_index != kUnset) {
-      edge.inducing_paths = cdg.edge(edge_index).path_count;
-      for (std::uint32_t p : cdg.edge_paths(edge_index)) {
-        if (edge.examples.size() >= max_paths_per_edge) break;
+    edge.from = best_cycle[i];
+    edge.to = best_cycle[(i + 1) % best_cycle.size()];
+    for (std::uint32_t p :
+         core.edge_paths(core.find_edge(edge.from, edge.to))) {
+      if (layer[p] != which) continue;
+      ++edge.inducing_paths;
+      if (edge.examples.size() < max_paths_per_edge) {
         edge.examples.push_back({p, paths.src_switch_index(p),
                                  paths.dst_terminal_index(p),
                                  paths.weight(p)});
@@ -131,18 +119,29 @@ DeadlockWitness extract_witness(const PathSet& paths,
   return witness;
 }
 
+}  // namespace
+
+DeadlockWitness extract_witness(const PathSet& paths,
+                                std::span<const Layer> layer, Layer which,
+                                std::uint32_t num_channels,
+                                std::uint32_t max_paths_per_edge) {
+  const CdgCore core(paths, num_channels, CdgCore::EdgePaths::kBuild);
+  return witness_for_layer(core, layer, which, max_paths_per_edge);
+}
+
 DeadlockWitness extract_witness(const Network& net, const RoutingTable& table,
                                 std::uint32_t max_paths_per_edge) {
+  if (!table.built_for(net)) return DeadlockWitness{};
   const PathSet paths = collect_paths(net, table);
   const std::vector<Layer> layers = collect_layers(net, table, paths);
   Layer num_layers = table.num_layers();
   for (std::size_t p = 0; p < paths.size(); ++p) {
     num_layers = std::max<Layer>(num_layers, layers[p] + 1);
   }
+  const CdgCore core(paths, static_cast<std::uint32_t>(net.num_channels()),
+                     CdgCore::EdgePaths::kBuild);
   for (Layer l = 0; l < num_layers; ++l) {
-    DeadlockWitness w = extract_witness(
-        paths, layers, l, static_cast<std::uint32_t>(net.num_channels()),
-        max_paths_per_edge);
+    DeadlockWitness w = witness_for_layer(core, layers, l, max_paths_per_edge);
     if (!w.empty()) return w;
   }
   return DeadlockWitness{};

@@ -33,7 +33,8 @@ struct WitnessEdge {
   ChannelId to = 0;
   /// Total number of member paths inducing this edge.
   std::uint32_t inducing_paths = 0;
-  /// Up to `max_paths_per_edge` concrete examples (at least one).
+  /// Up to `max_paths_per_edge` concrete examples (at least one): the
+  /// inducing paths with the lowest PathSet indices, ascending.
   std::vector<WitnessPathRef> examples;
 };
 
@@ -58,7 +59,8 @@ DeadlockWitness extract_witness(const PathSet& paths,
 
 /// Convenience: collect paths/layers from a routing, then find the first
 /// cyclic layer (ascending) and extract its witness. Empty witness when the
-/// whole routing is deadlock-free.
+/// whole routing is deadlock-free, or when `table` was not built for `net`
+/// (RoutingTable::built_for; make_certificate reports that case).
 DeadlockWitness extract_witness(const Network& net, const RoutingTable& table,
                                 std::uint32_t max_paths_per_edge = 3);
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
-#include <stdexcept>
+#include <optional>
 
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -11,104 +10,169 @@
 
 namespace dfsssp {
 
-// ---- Cdg --------------------------------------------------------------------
+// ---- CdgCore ----------------------------------------------------------------
 
-Cdg::Cdg(const PathSet& paths, std::span<const std::uint32_t> members,
-         std::uint32_t num_channels)
-    : num_channels_(num_channels) {
-  in_cdg_.assign(paths.size(), 0);
+CdgCore::CdgCore(const PathSet& paths, std::uint32_t num_channels,
+                 EdgePaths edge_paths)
+    : paths_(paths), num_channels_(num_channels) {
+  // A dependency occurrence is named by the position of its first channel
+  // in the concatenation of all paths' channels; path_edge_ is indexed the
+  // same way (the last slot of every path stays unused).
+  path_edge_.assign(paths.total_channels(), kNoEdge);
 
-  // Collect (u, v, path) triples for every consecutive channel pair.
-  struct Triple {
-    ChannelId u, v;
-    std::uint32_t p;
-  };
-  std::vector<Triple> triples;
-  alive_members_ = static_cast<std::uint32_t>(members.size());
-  for (std::uint32_t p : members) {
-    in_cdg_[p] = 1;
+  // Counting pass: occurrences per source channel.
+  std::vector<std::uint32_t> start(std::size_t{num_channels} + 1, 0);
+  for (std::uint32_t p = 0; p < paths.size(); ++p) {
     auto seq = paths.channels(p);
-    for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-      triples.push_back({seq[i], seq[i + 1], p});
-    }
+    for (std::size_t i = 0; i + 1 < seq.size(); ++i) ++start[seq[i] + 1];
   }
-  std::sort(triples.begin(), triples.end(),
-            [](const Triple& a, const Triple& b) {
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
+  for (std::uint32_t u = 0; u < num_channels; ++u) start[u + 1] += start[u];
 
-  offset_.assign(num_channels_ + 1, 0);
-  path_refs_.reserve(triples.size());
-  for (std::size_t i = 0; i < triples.size();) {
-    std::size_t j = i;
-    Edge e;
-    e.to = triples[i].v;
-    e.path_begin = static_cast<std::uint32_t>(path_refs_.size());
-    while (j < triples.size() && triples[j].u == triples[i].u &&
-           triples[j].v == triples[i].v) {
-      path_refs_.push_back(triples[j].p);
-      e.alive_weight += paths.weight(triples[j].p);
-      ++j;
+  // Bucket the occurrences by source channel.
+  struct Occurrence {
+    std::uint32_t pos;
+    ChannelId to;
+  };
+  std::vector<Occurrence> by_source(start[num_channels]);
+  {
+    std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+    for (std::uint32_t p = 0; p < paths.size(); ++p) {
+      auto seq = paths.channels(p);
+      const auto base = static_cast<std::uint32_t>(paths.channel_offset(p));
+      for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+        by_source[fill[seq[i]]++] = {base + static_cast<std::uint32_t>(i),
+                                     seq[i + 1]};
+      }
     }
-    e.path_count = static_cast<std::uint32_t>(j - i);
-    e.alive_count = e.path_count;
-    edge_src_.push_back(triples[i].u);
-    edges_.push_back(e);
-    ++offset_[triples[i].u + 1];
-    i = j;
   }
-  for (std::uint32_t u = 0; u < num_channels_; ++u) {
-    offset_[u + 1] += offset_[u];
+
+  // Deduplicate each source's targets through a per-target slot. This
+  // numbers the edges grouped by source, but in first-seen target order.
+  offset_.assign(std::size_t{num_channels} + 1, 0);
+  std::vector<std::uint32_t> slot(num_channels, kNoEdge);
+  std::vector<ChannelId> source;  // per provisional edge
+  for (ChannelId u = 0; u < num_channels; ++u) {
+    const auto first = static_cast<std::uint32_t>(target_.size());
+    for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
+      const Occurrence& o = by_source[k];
+      if (slot[o.to] == kNoEdge) {
+        slot[o.to] = static_cast<std::uint32_t>(target_.size());
+        target_.push_back(o.to);
+        source.push_back(u);
+      }
+      path_edge_[o.pos] = slot[o.to];
+    }
+    for (std::uint32_t e = first; e < target_.size(); ++e) {
+      slot[target_[e]] = kNoEdge;
+    }
+    offset_[u + 1] = static_cast<std::uint32_t>(target_.size());
+  }
+  by_source = {};
+
+  // Two stable counting passes over the distinct edges (by target, then by
+  // source) give the final numbering, with targets ascending per source.
+  const std::uint32_t num_edges = this->num_edges();
+  std::vector<std::uint32_t> by_target(num_edges);
+  {
+    std::vector<std::uint32_t> fill(std::size_t{num_channels} + 1, 0);
+    for (ChannelId v : target_) ++fill[v + 1];
+    for (std::uint32_t v = 0; v < num_channels; ++v) fill[v + 1] += fill[v];
+    for (std::uint32_t e = 0; e < num_edges; ++e) {
+      by_target[fill[target_[e]]++] = e;
+    }
+  }
+  std::vector<std::uint32_t> final_id(num_edges);
+  {
+    std::vector<std::uint32_t> fill(offset_.begin(), offset_.end() - 1);
+    for (std::uint32_t e : by_target) final_id[e] = fill[source[e]]++;
+  }
+  std::vector<ChannelId> sorted(num_edges);
+  for (std::uint32_t e = 0; e < num_edges; ++e) {
+    sorted[final_id[e]] = target_[e];
+  }
+  target_ = std::move(sorted);
+  // Renumber the path edges; the same pass counts inducing paths per edge
+  // when their lists are wanted.
+  const bool lists = edge_paths == EdgePaths::kBuild;
+  if (lists) edge_path_offset_.assign(std::size_t{num_edges} + 1, 0);
+  for (std::uint32_t& e : path_edge_) {
+    if (e == kNoEdge) continue;
+    e = final_id[e];
+    if (lists) ++edge_path_offset_[e + 1];
+  }
+  if (!lists) return;
+
+  // Fill the inducing-path lists in path order.
+  for (std::uint32_t e = 0; e < num_edges; ++e) {
+    edge_path_offset_[e + 1] += edge_path_offset_[e];
+  }
+  edge_path_.resize(edge_path_offset_[num_edges]);
+  std::vector<std::uint32_t> fill(edge_path_offset_.begin(),
+                                  edge_path_offset_.end() - 1);
+  for (std::uint32_t p = 0; p < paths.size(); ++p) {
+    for (std::uint32_t e : path_edges(p)) edge_path_[fill[e]++] = p;
   }
 }
 
-std::span<const std::uint32_t> Cdg::edge_paths(std::uint32_t edge_index) const {
-  const Edge& e = edges_[edge_index];
-  return {path_refs_.data() + e.path_begin, e.path_count};
+std::uint32_t CdgCore::find_edge(ChannelId u, ChannelId v) const {
+  const auto first = target_.begin() + offset_[u];
+  const auto last = target_.begin() + offset_[u + 1];
+  const auto it = std::lower_bound(first, last, v);
+  if (it == last || *it != v) return kNoEdge;
+  return static_cast<std::uint32_t>(it - target_.begin());
+}
+
+std::vector<std::uint8_t> CdgCore::layer_edges(std::span<const Layer> layer,
+                                               Layer which) const {
+  std::vector<std::uint8_t> in_layer(num_edges(), 0);
+  for (std::uint32_t p = 0; p < layer.size(); ++p) {
+    if (layer[p] != which) continue;
+    for (std::uint32_t e : path_edges(p)) in_layer[e] = 1;
+  }
+  return in_layer;
+}
+
+// ---- Cdg --------------------------------------------------------------------
+
+Cdg::Cdg(const CdgCore& core, std::span<const std::uint32_t> members)
+    : core_(core) {
+  const PathSet& paths = core.paths();
+  state_.assign(core.num_edges(), EdgeState{});
+  in_cdg_.assign(paths.size(), 0);
+  alive_members_ = static_cast<std::uint32_t>(members.size());
+  for (std::uint32_t p : members) {
+    in_cdg_[p] = 1;
+    const std::uint32_t w = paths.weight(p);
+    for (std::uint32_t e : core.path_edges(p)) {
+      EdgeState& s = state_[e];
+      if (s.path_count == 0) ++num_edges_;
+      ++s.path_count;
+      s.alive_weight += w;
+    }
+  }
+  for (EdgeState& s : state_) s.alive_count = s.path_count;
 }
 
 std::vector<std::uint32_t> Cdg::alive_paths(std::uint32_t edge_index) const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t p : edge_paths(edge_index)) {
-    if (in_cdg_[p]) out.push_back(p);
+  for (std::uint32_t p : core_.edge_paths(edge_index)) {
+    // A path inducing the edge twice is listed twice, back to back.
+    if (in_cdg_[p] && (out.empty() || out.back() != p)) out.push_back(p);
   }
   return out;
 }
 
-std::uint32_t Cdg::find_edge(ChannelId u, ChannelId v) const {
-  std::uint32_t lo = offset_[u], hi = offset_[u + 1];
-  while (lo < hi) {
-    std::uint32_t mid = lo + (hi - lo) / 2;
-    if (edges_[mid].to < v) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  assert(lo < offset_[u + 1] && edges_[lo].to == v);
-  return lo;
-}
-
-void Cdg::remove_path(const PathSet& paths, std::uint32_t p) {
+void Cdg::remove_path(std::uint32_t p) {
   assert(in_cdg_[p]);
   in_cdg_[p] = 0;
   --alive_members_;
-  auto seq = paths.channels(p);
-  const std::uint32_t w = paths.weight(p);
-  for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-    Edge& e = edges_[find_edge(seq[i], seq[i + 1])];
-    assert(e.alive_count > 0);
-    --e.alive_count;
-    e.alive_weight -= w;
+  const std::uint32_t w = core_.paths().weight(p);
+  for (std::uint32_t e : core_.path_edges(p)) {
+    EdgeState& s = state_[e];
+    assert(s.alive_count > 0);
+    --s.alive_count;
+    s.alive_weight -= w;
   }
-}
-
-bool Cdg::empty_alive() const {
-  for (const Edge& e : edges_) {
-    if (e.alive_count > 0) return false;
-  }
-  return true;
 }
 
 // ---- CycleFinder ------------------------------------------------------------
@@ -121,7 +185,7 @@ CycleFinder::CycleFinder(const Cdg& cdg) : cdg_(cdg) {
 void CycleFinder::push(ChannelId node, std::uint32_t entry_edge) {
   color_[node] = 1;
   stack_pos_[node] = static_cast<std::uint32_t>(stack_.size());
-  stack_.push_back({node, cdg_.first_edge(node), entry_edge});
+  stack_.push_back({node, cdg_.core().first_edge(node), entry_edge});
 }
 
 void CycleFinder::pop_whiten() {
@@ -142,34 +206,38 @@ bool CycleFinder::next_cycle(std::vector<std::uint32_t>& cycle_edges) {
       push(next_root_, kNone);
     }
     Frame& f = stack_.back();
-    const std::uint32_t end = cdg_.first_edge(f.node) +
-        static_cast<std::uint32_t>(cdg_.out_edges(f.node).size());
+    const std::uint32_t end = cdg_.core().end_edge(f.node);
     bool descended = false;
     while (f.cursor < end) {
-      ++steps_;
       const std::uint32_t eidx = f.cursor;
-      const Cdg::Edge& e = cdg_.edge(eidx);
+      const Cdg::EdgeState& e = cdg_.edge(eidx);
+      if (e.path_count == 0) {  // another layer's edge: not in this CDG
+        ++f.cursor;
+        continue;
+      }
+      ++steps_;
       if (e.alive_count == 0) {
         ++f.cursor;
         continue;
       }
-      if (color_[e.to] == 1) {
-        // Found a cycle: tree edges from e.to's stack frame downward, plus
+      const ChannelId to = cdg_.core().target(eidx);
+      if (color_[to] == 1) {
+        // Found a cycle: tree edges from the target's stack frame downward, plus
         // the closing edge. Do not advance the cursor — after the caller's
         // cut either this edge is dead (skipped next time) or the stack was
         // repaired.
-        for (std::uint32_t s = stack_pos_[e.to] + 1; s < stack_.size(); ++s) {
+        for (std::uint32_t s = stack_pos_[to] + 1; s < stack_.size(); ++s) {
           cycle_edges.push_back(stack_[s].entry_edge);
         }
         cycle_edges.push_back(eidx);
         return true;
       }
-      if (color_[e.to] == 2) {
+      if (color_[to] == 2) {
         ++f.cursor;
         continue;
       }
       ++f.cursor;
-      push(e.to, eidx);
+      push(to, eidx);
       descended = true;
       break;
     }
@@ -263,6 +331,9 @@ LayerResult assign_layers_offline(const PathSet& paths,
       "cdg/migration_target_layer",
       {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16});
 
+  // The shared dependency graph is built inside layer 0's cdg/build span;
+  // every layer after that only recounts its members over it.
+  std::optional<CdgCore> core;
   std::vector<std::uint32_t> cycle;
   Layer layers_used = 1;
   for (Layer l = 0; l < options.max_layers; ++l) {
@@ -272,28 +343,36 @@ LayerResult assign_layers_offline(const PathSet& paths,
     static obs::Histogram& h_cycle_search_ns =
         obs::registry().timing_histogram("cdg/cycle_search_ns");
     ScopedTimer phase_timer(h_cycle_search_ns);
-    Cdg cdg(paths, members, num_channels);
+    Cdg cdg = [&] {
+      TRACE_SPAN("cdg/build");
+      if (!core) core.emplace(paths, num_channels, CdgCore::EdgePaths::kBuild);
+      return Cdg(*core, members);
+    }();
     CycleFinder finder(cdg);
     std::vector<std::uint32_t> moved;
     std::uint64_t layer_cycles = 0;
-    while (finder.next_cycle(cycle)) {
-      ++cycles_found;
-      ++layer_cycles;
-      if (l + 1 >= options.max_layers) {
-        result.error = "cycle remains in the last virtual layer (" +
-                       std::to_string(options.max_layers) +
-                       " layers are not enough)";
-        return result;
+    {
+      TRACE_SPAN("cdg/dfs");
+      while (finder.next_cycle(cycle)) {
+        ++cycles_found;
+        ++layer_cycles;
+        if (l + 1 >= options.max_layers) {
+          result.error = "cycle remains in the last virtual layer (" +
+                         std::to_string(options.max_layers) +
+                         " layers are not enough)";
+          return result;
+        }
+        const std::uint32_t cut =
+            pick_cycle_edge(cdg, cycle, options.heuristic);
+        for (std::uint32_t p : cdg.alive_paths(cut)) {
+          cdg.remove_path(p);
+          result.layer[p] = static_cast<Layer>(l + 1);
+          moved.push_back(p);
+        }
+        ++result.cycles_broken;
+        h_migration_layer.record(static_cast<std::uint64_t>(l) + 1);
+        finder.repair();
       }
-      const std::uint32_t cut = pick_cycle_edge(cdg, cycle, options.heuristic);
-      for (std::uint32_t p : cdg.alive_paths(cut)) {
-        cdg.remove_path(paths, p);
-        result.layer[p] = static_cast<Layer>(l + 1);
-        moved.push_back(p);
-      }
-      ++result.cycles_broken;
-      h_migration_layer.record(static_cast<std::uint64_t>(l) + 1);
-      finder.repair();
     }
     paths_migrated += moved.size();
     // Deterministic search cost for this layer, counted in registry totals

@@ -13,6 +13,10 @@
 // one (resumable) cycle search, which is what makes the offline algorithm
 // scale (Section IV: 170 s instead of 2 h on a 4096-node network).
 //
+// All of this runs on one CdgCore per path set: the dependency edges are
+// deduplicated once, and each layer only counts which of them its member
+// paths still induce.
+//
 // Cycle-edge choice implements the paper's three heuristics: weakest edge
 // (fewest inducing paths — the recommended one), heaviest edge, and the
 // pseudo-random first edge of the discovered cycle.
@@ -28,42 +32,96 @@
 
 namespace dfsssp {
 
-/// Immutable-topology CDG over one layer's member paths; supports removing
-/// paths (alive counters) but never adding, which is all Algorithm 2 needs.
+/// The CDG of a whole PathSet, built once and shared by every layer: a CSR
+/// keyed by source channel (targets ascending), each path's edge ids in
+/// path order, and optionally each edge's inducing paths (ascending path
+/// index). Built with counting passes over the paths — no comparison sort —
+/// so a layer is just alive counters over this one graph (see Cdg).
+///
+/// Keeps a reference to `paths`, which must outlive the core.
+class CdgCore {
+ public:
+  static constexpr std::uint32_t kNoEdge = 0xFFFFFFFFu;
+
+  /// Whether to build the per-edge inducing-path lists; Algorithm 2 and
+  /// the witness need them, the certificate does not.
+  enum class EdgePaths : std::uint8_t { kSkip, kBuild };
+
+  CdgCore(const PathSet& paths, std::uint32_t num_channels,
+          EdgePaths edge_paths = EdgePaths::kSkip);
+  CdgCore(PathSet&&, std::uint32_t, EdgePaths = EdgePaths::kSkip) = delete;
+
+  const PathSet& paths() const { return paths_; }
+  std::uint32_t num_nodes() const { return num_channels_; }
+  std::uint32_t num_edges() const {
+    return static_cast<std::uint32_t>(target_.size());
+  }
+
+  /// Global edge index range of node u: [first_edge(u), end_edge(u)).
+  std::uint32_t first_edge(ChannelId u) const { return offset_[u]; }
+  std::uint32_t end_edge(ChannelId u) const { return offset_[u + 1]; }
+  ChannelId target(std::uint32_t edge_index) const {
+    return target_[edge_index];
+  }
+
+  /// Edge index of u -> v, or kNoEdge when no path induces it.
+  std::uint32_t find_edge(ChannelId u, ChannelId v) const;
+
+  /// Edge ids of path p's consecutive channel pairs, in path order.
+  std::span<const std::uint32_t> path_edges(std::uint32_t p) const {
+    const auto len = paths_.channels(p).size();
+    return {path_edge_.data() + paths_.channel_offset(p),
+            len < 2 ? 0 : len - 1};
+  }
+
+  /// One flag per edge: set when a path p with layer[p] == which induces
+  /// it. That edge set is the layer's CDG.
+  std::vector<std::uint8_t> layer_edges(std::span<const Layer> layer,
+                                        Layer which) const;
+
+  /// Paths inducing the edge, ascending; empty unless built with kBuild.
+  std::span<const std::uint32_t> edge_paths(std::uint32_t edge_index) const {
+    if (edge_path_offset_.empty()) return {};
+    return {edge_path_.data() + edge_path_offset_[edge_index],
+            edge_path_offset_[edge_index + 1] - edge_path_offset_[edge_index]};
+  }
+
+ private:
+  const PathSet& paths_;
+  std::uint32_t num_channels_;
+  std::vector<std::uint32_t> offset_;       // per node, into target_
+  std::vector<ChannelId> target_;           // per edge
+  std::vector<std::uint32_t> path_edge_;    // per channel entry of paths_
+  std::vector<std::uint32_t> edge_path_offset_;  // per edge, into edge_path_
+  std::vector<std::uint32_t> edge_path_;
+};
+
+/// One layer's CDG: the core's edges induced by `members` (indices into the
+/// core's PathSet), with alive counters. Supports removing paths but never
+/// adding, which is all Algorithm 2 needs. Edges of the core that no member
+/// induces stay in the CSR with path_count 0 and are not part of the layer.
 class Cdg {
  public:
-  /// Builds the CDG induced by `members` (indices into `paths`).
-  /// `num_channels` sizes the node set; `num_paths` the membership bitmap.
-  Cdg(const PathSet& paths, std::span<const std::uint32_t> members,
-      std::uint32_t num_channels);
+  Cdg(const CdgCore& core, std::span<const std::uint32_t> members);
+  Cdg(CdgCore&&, std::span<const std::uint32_t>) = delete;
 
-  struct Edge {
-    ChannelId to = 0;
-    std::uint32_t path_begin = 0;  // range into path_refs()
-    std::uint32_t path_count = 0;
-    std::uint32_t alive_count = 0;
+  struct EdgeState {
+    std::uint32_t path_count = 0;   // member paths inducing the edge
+    std::uint32_t alive_count = 0;  // ... and not yet removed
     std::uint64_t alive_weight = 0;
   };
 
-  std::uint32_t num_nodes() const { return num_channels_; }
-  std::size_t num_edges() const { return edges_.size(); }
+  const CdgCore& core() const { return core_; }
+  std::uint32_t num_nodes() const { return core_.num_nodes(); }
+  /// Edges induced by at least one member.
+  std::size_t num_edges() const { return num_edges_; }
 
-  std::span<const Edge> out_edges(ChannelId u) const {
-    return {edges_.data() + offset_[u], offset_[u + 1] - offset_[u]};
+  const EdgeState& edge(std::uint32_t edge_index) const {
+    return state_[edge_index];
   }
-  const Edge& edge(std::uint32_t edge_index) const {
-    return edges_[edge_index];
-  }
-  ChannelId edge_source(std::uint32_t edge_index) const {
-    return edge_src_[edge_index];
-  }
-  /// Global edge index range of node u: [first_edge(u), first_edge(u)+deg).
-  std::uint32_t first_edge(ChannelId u) const { return offset_[u]; }
 
-  /// Paths (dead or alive) that ever induced this edge.
-  std::span<const std::uint32_t> edge_paths(std::uint32_t edge_index) const;
-
-  /// Member paths still alive on this edge.
+  /// Member paths still alive on this edge. Needs a core built with
+  /// CdgCore::EdgePaths::kBuild.
   std::vector<std::uint32_t> alive_paths(std::uint32_t edge_index) const;
 
   bool path_alive(std::uint32_t p) const { return in_cdg_[p] != 0; }
@@ -71,22 +129,15 @@ class Cdg {
   /// Member paths not yet removed.
   std::uint32_t alive_members() const { return alive_members_; }
 
-  /// Removes a member path: decrements alive counters on every edge the
-  /// path induces. Precondition: path_alive(p).
-  void remove_path(const PathSet& paths, std::uint32_t p);
-
-  /// True when every edge's alive count is zero.
-  bool empty_alive() const;
+  /// Removes a member path: decrements the alive counters of the edges it
+  /// induces, in O(path length). Precondition: path_alive(p).
+  void remove_path(std::uint32_t p);
 
  private:
-  std::uint32_t find_edge(ChannelId u, ChannelId v) const;
-
-  std::uint32_t num_channels_;
-  std::vector<std::uint32_t> offset_;    // per node, into edges_
-  std::vector<Edge> edges_;
-  std::vector<ChannelId> edge_src_;      // per edge
-  std::vector<std::uint32_t> path_refs_; // concatenated per-edge path lists
-  std::vector<std::uint8_t> in_cdg_;     // per global path id
+  const CdgCore& core_;
+  std::vector<EdgeState> state_;       // per core edge
+  std::vector<std::uint8_t> in_cdg_;   // per global path id
+  std::size_t num_edges_ = 0;
   std::uint32_t alive_members_ = 0;
 };
 

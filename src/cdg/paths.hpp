@@ -40,6 +40,10 @@ class PathSet {
   }
   std::uint32_t weight(std::size_t p) const { return weight_[p]; }
 
+  /// Position of path p's first channel in the concatenation of all
+  /// paths' channels, in path order.
+  std::size_t channel_offset(std::size_t p) const { return offset_[p]; }
+
   /// Total number of channel entries across all paths.
   std::size_t total_channels() const { return channels_.size(); }
 

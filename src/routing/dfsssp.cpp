@@ -31,7 +31,7 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
 
   std::vector<Layer> layer;
   Layer layers_used = 1;
-  const LayeringMode mode = options_.effective_mode();
+  const LayeringMode mode = options_.mode;
   if (mode == LayeringMode::kOnline) {
     layer.assign(paths.size(), 0);
     std::vector<std::unique_ptr<OnlineCdg>> layers;

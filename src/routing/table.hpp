@@ -43,6 +43,14 @@ class RoutingTable {
     layer_[slot(src_switch, dst_terminal)] = l;
   }
 
+  /// True when the table was built for a network of `net`'s shape (same
+  /// switch and terminal counts). A default-constructed table, such as a
+  /// failed route's, is built for no network.
+  bool built_for(const Network& net) const {
+    return net_ != nullptr && num_terminals_ == net.num_terminals() &&
+           next_.size() == net.num_switches() * num_terminals_;
+  }
+
   /// Number of virtual layers this table uses (1 = no virtual channels).
   Layer num_layers() const { return num_layers_; }
   void set_num_layers(Layer n) { num_layers_ = n; }

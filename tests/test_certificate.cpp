@@ -185,6 +185,29 @@ TEST(Certificate, CyclicLayerReportedWithWitness) {
   EXPECT_NE(os.str().find("deadlock witness"), std::string::npos);
 }
 
+TEST(Certificate, FailedRouteTableRejected) {
+  // Eight layers are not enough for this fabric, so the route fails and
+  // its table is empty. Certifying or checking it must be a clean error,
+  // not a walk through a table that belongs to no network.
+  Topology topo = make_random_regular(256, 8, 4, 3);
+  RouteResponse out = DfssspRouter(DfssspOptions{.max_layers = 8})
+                          .route(RouteRequest(topo));
+  ASSERT_FALSE(out.ok);
+  EXPECT_FALSE(out.table.built_for(topo.net));
+
+  CertificateResult cert = make_certificate(topo.net, out.table);
+  EXPECT_FALSE(cert.ok);
+  EXPECT_NE(cert.error.find("not built for this network"), std::string::npos);
+  EXPECT_TRUE(cert.cert.empty());
+
+  Certificate one_layer;
+  one_layer.order.resize(1);
+  CertCheckResult check = check_certificate(topo.net, out.table, one_layer);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("not built for this network"), std::string::npos);
+  EXPECT_EQ(check.paths_checked, 0u);
+}
+
 TEST(Certificate, DeadlockFreeRoutingHasEmptyWitness) {
   RouteResponse out;
   Topology topo = routed_random(out);
