@@ -32,8 +32,6 @@ class OnlineCdg {
   bool try_add_path(std::span<const ChannelId> channels);
 
   /// Removes a previously committed path's edges (refcount-decrement).
-  /// Used to roll back multi-path transactions (e.g. LASH's bidirectional
-  /// switch-pair assignment).
   void remove_path(std::span<const ChannelId> channels);
 
   std::uint64_t num_paths() const { return num_paths_; }

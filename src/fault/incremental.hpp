@@ -11,9 +11,10 @@
 //   1. drops destinations that died with their switch,
 //   2. invalidates exactly the destinations whose forwarding entries use a
 //      downed channel (one scan of the table columns),
-//   3. re-runs weighted SSSP for just those destinations (in destination
-//      index order, so repair is deterministic and thread-count invariant),
-//   4. re-layers the fresh paths first-fit into the persistent online CDGs,
+//   3. re-runs weighted SSSP (the shared SsspKernel) for just those
+//      destinations (in destination index order, so repair is
+//      deterministic and thread-count invariant),
+//   4. re-layers the fresh paths into the persistent FirstFitLayers,
 //   5. falls back to a full recompute only when a layer overflows or a
 //      switch comes back up (a revived switch needs forwarding entries for
 //      every destination, which is a full recompute by definition),
@@ -27,24 +28,20 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/certificate.hpp"
-#include "cdg/online.hpp"
-#include "common/heap.hpp"
+#include "cdg/first_fit.hpp"
 #include "fault/churn.hpp"
 #include "routing/router.hpp"
+#include "routing/sssp.hpp"
 
 namespace dfsssp {
 
 struct IncrementalOptions {
   /// Default virtual-layer budget; RouteRequest::max_layers overrides.
   Layer max_layers = 8;
-  /// Build a fresh certificate on every route()/repair(). Off only for
-  /// microbenchmarks that never audit the result.
-  bool emit_certificate = true;
 };
 
 class IncrementalDfsssp {
@@ -62,8 +59,8 @@ class IncrementalDfsssp {
   /// repair in place.
   RouteResponse repair(const RouteRequest& request, const ChurnDelta& delta);
 
-  /// The certificate of the current table (empty when emit_certificate is
-  /// off or nothing was routed yet).
+  /// The certificate of the current table, rebuilt by every route() and
+  /// repair() (empty until something was routed).
   const Certificate& certificate() const { return certificate_; }
 
  private:
@@ -88,7 +85,6 @@ class IncrementalDfsssp {
   /// Weighted Dijkstra from the destination's switch, weight update, path
   /// storage and first-fit layering. `error` is set on failure.
   DestStatus route_destination(std::uint32_t ti, std::string& error);
-  Layer scan_layers_used() const;
   RouteResponse finish(const RouteRequest& request, RouteResponse out);
   std::uint64_t count_paths() const;
 
@@ -96,24 +92,18 @@ class IncrementalDfsssp {
 
   // Bound state (valid after a successful route()).
   const Topology* topo_ = nullptr;
-  Layer max_layers_ = 0;
   RoutingTable table_;
   std::vector<std::uint64_t> weight_;  // per channel, persistent
-  std::vector<std::unique_ptr<OnlineCdg>> layers_;
+  FirstFitLayers layers_;
   std::vector<DestPaths> dest_;  // per terminal index
   Certificate certificate_;
 
-  // Dijkstra scratch, reused across destinations.
-  std::vector<std::uint64_t> dist_;
-  std::vector<ChannelId> parent_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint64_t> subtree_;
-  MinHeap<std::uint64_t> heap_;
+  SsspKernel sssp_;  // Dijkstra scratch, reused across destinations
 
   // Per-call accumulators (reset at the top of route()/repair()).
   double dijkstra_seconds_ = 0.0;
   double layering_seconds_ = 0.0;
-  std::uint64_t acyclicity_checks_ = 0;
+  std::uint64_t attempts_before_ = 0;  // layers_.attempts() at call start
 };
 
 }  // namespace dfsssp

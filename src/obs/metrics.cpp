@@ -151,15 +151,15 @@ Gauge& Registry::gauge(const std::string& name, Kind kind) {
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<std::uint64_t> edges, Kind kind) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = metrics_[name];
-  if (!e.histogram) {
-    if (e.counter || e.gauge) {
-      throw std::logic_error("metric '" + name + "' is not a histogram");
-    }
-    e.kind = kind;
-    e.histogram.reset(new Histogram(std::move(edges)));
+  auto it = metrics_.find(name);
+  if (it == metrics_.end()) {
+    // Built first: bad edges throw before snapshot() could see an entry.
+    std::unique_ptr<Histogram> h(new Histogram(std::move(edges)));
+    it = metrics_.emplace(name, Entry{kind, {}, {}, std::move(h)}).first;
+  } else if (!it->second.histogram) {
+    throw std::logic_error("metric '" + name + "' is not a histogram");
   }
-  return *e.histogram;
+  return *it->second.histogram;
 }
 
 Histogram& Registry::timing_histogram(const std::string& name) {

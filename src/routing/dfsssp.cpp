@@ -1,8 +1,6 @@
 #include "routing/dfsssp.hpp"
 
-#include <memory>
-
-#include "cdg/online.hpp"
+#include "cdg/first_fit.hpp"
 #include "cdg/verify.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -34,33 +32,19 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   const LayeringMode mode = options_.mode;
   if (mode == LayeringMode::kOnline) {
     layer.assign(paths.size(), 0);
-    std::vector<std::unique_ptr<OnlineCdg>> layers;
+    FirstFitLayers layers(num_channels, max_layers);
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
-      auto seq = paths.channels(p);
-      if (seq.size() < 2) continue;  // no dependencies, stays in layer 0
-      Layer assigned = kInvalidLayer;
-      for (Layer l = 0; l < max_layers; ++l) {
-        if (l == layers.size()) {
-          layers.push_back(std::make_unique<OnlineCdg>(num_channels));
-        }
-        ++acyclicity_checks;
-        if (layers[l]->try_add_path(seq)) {
-          assigned = l;
-          break;
-        }
-      }
+      const Layer assigned = layers.place({paths.channels(p)});
       if (assigned == kInvalidLayer) {
-        return RouteResponse::failure(
-            "DFSSSP(online): ran out of virtual layers (" +
-            std::to_string(max_layers) + ")");
+        return RouteResponse::failure("DFSSSP(online): " +
+                                      layers.overflow_error());
       }
       layer[p] = assigned;
-      layers_used = std::max(layers_used, static_cast<Layer>(assigned + 1));
     }
-    for (const auto& l : layers) pk_reorders += l->num_reorders();
-    std::uint64_t cdg_insertions = 0;
-    for (const auto& l : layers) cdg_insertions += l->num_insertions();
-    PROF_COUNT("cdg/edge_insertions", cdg_insertions);
+    layers_used = layers.layers_used();
+    acyclicity_checks = layers.attempts();
+    pk_reorders = layers.reorders();
+    PROF_COUNT("cdg/edge_insertions", layers.insertions());
     if (options_.balance) {
       layers_used =
           balance_layers(paths, layer, layers_used, max_layers);

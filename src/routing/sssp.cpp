@@ -1,16 +1,65 @@
 #include "routing/sssp.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <span>
 
-#include "common/heap.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/spath.hpp"
 
 namespace dfsssp {
+
+std::size_t SsspKernel::run(const Network& net, std::uint32_t dst_index,
+                            std::span<const std::uint64_t> weight) {
+  std::uint64_t num_relaxations = 0;  // a register, not a member, in the loop
+  std::fill(dist_.begin(), dist_.end(), kInf);
+  std::fill(parent_.begin(), parent_.end(), kInvalidChannel);
+  heap_.reset(dist_.size());
+  dist_[dst_index] = 0;
+  heap_.push(0, dst_index);
+  std::size_t settled = 0;
+  while (!heap_.empty()) {
+    auto [du, u_index] = heap_.pop();
+    order_[settled++] = u_index;
+    const NodeId u = net.switch_by_index(u_index);
+    for (ChannelId c : net.out_switch_channels(u)) {
+      const NodeId v = net.channel(c).dst;
+      const std::uint32_t v_index = net.node(v).type_index;
+      const ChannelId fwd = net.channel(c).reverse;  // v -> u, toward dst
+      const std::uint64_t cand = du + weight[fwd];
+      if (cand < dist_[v_index]) {
+        dist_[v_index] = cand;
+        parent_[v_index] = fwd;
+        heap_.push_or_decrease(cand, v_index);
+        ++num_relaxations;
+      }
+    }
+  }
+  // Every switch enters the heap once (later relaxations are decrease-keys)
+  // and leaves it once, so pushes and pops both equal the settled count.
+  settled_ = settled;
+  ++work_.passes;
+  work_.pops += settled;
+  work_.pushes += settled;
+  work_.relaxations += num_relaxations;
+  return settled;
+}
+
+void SsspKernel::add_path_weights(const Network& net,
+                                  std::span<std::uint64_t> weight) {
+  // Accumulate subtree terminal counts from the farthest settled switch
+  // inward; order_[0] is the destination and forwards nowhere.
+  for (std::size_t i = 0; i < settled_; ++i) {
+    subtree_[order_[i]] = net.terminals_on(net.switch_by_index(order_[i]));
+  }
+  for (std::size_t i = settled_; i-- > 1;) {
+    const std::uint32_t v_index = order_[i];
+    const ChannelId fwd = parent_[v_index];
+    weight[fwd] += subtree_[v_index];
+    const NodeId next_sw = net.channel(fwd).dst;
+    subtree_[net.node(next_sw).type_index] += subtree_[v_index];
+  }
+}
 
 bool sssp_fill_planes(const Network& net, const SsspOptions& options,
                       std::span<RoutingTable> planes, RoutingStats& stats,
@@ -23,10 +72,6 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
       obs::registry().timing_histogram("sssp/fill_planes_ns");
   ScopedTimer phase_timer(h_fill_ns);
   Timer timer;
-  // Heap traffic is aggregated in locals and flushed once per call, so the
-  // Dijkstra inner loop sees plain register increments, not atomics.
-  std::uint64_t num_passes = 0, num_pops = 0, num_relaxations = 0;
-  std::uint64_t num_pushes = 0;
   const std::size_t num_sw = net.num_switches();
   const std::uint64_t n = net.num_nodes();
   // Initial weight |V|^2 forces minimal paths (§II): the extra weight a
@@ -36,97 +81,35 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
       options.initial_weight != 0 ? options.initial_weight
                                   : n * n * planes.size();
   std::vector<std::uint64_t> weight(net.num_channels(), initial_weight);
-
-  std::vector<std::uint64_t> dist(num_sw);
-  std::vector<ChannelId> parent(num_sw);        // forwarding channel toward dst
-  std::vector<std::uint32_t> order(num_sw);     // switches by settle order
-  std::vector<std::uint64_t> subtree(num_sw);   // path-count accumulation
-  MinHeap<std::uint64_t> heap(num_sw);
-  constexpr std::uint64_t kInf = ~0ULL;
+  SsspKernel kernel(num_sw);
 
   for (NodeId d : net.terminals()) {
-    const NodeId dst_switch = net.switch_of(d);
-    const std::uint32_t dst_index = net.node(dst_switch).type_index;
+    const std::uint32_t dst_index = net.node(net.switch_of(d)).type_index;
     for (RoutingTable& plane : planes) {
-      // Dijkstra outward from the destination switch. The forwarding
-      // channel of a settled switch v is the reverse of the relaxing
-      // channel, because packets flow toward the destination.
-      std::fill(dist.begin(), dist.end(), kInf);
-      std::fill(parent.begin(), parent.end(), kInvalidChannel);
-      heap.reset(num_sw);
-      dist[dst_index] = 0;
-      heap.push(0, dst_index);
-      ++num_passes;
-      ++num_pushes;
-      std::size_t settled = 0;
-      while (!heap.empty()) {
-        auto [du, u_index] = heap.pop();
-        ++num_pops;
-        order[settled++] = u_index;
-        NodeId u = net.switch_by_index(u_index);
-        for (ChannelId c : net.out_switch_channels(u)) {
-          const NodeId v = net.channel(c).dst;
-          const std::uint32_t v_index = net.node(v).type_index;
-          const ChannelId fwd = net.channel(c).reverse;  // v -> u
-          const std::uint64_t cand = du + weight[fwd];
-          if (cand < dist[v_index]) {
-            // A relaxation from infinity is a fresh heap insert; any other
-            // is a decrease-key on an already-queued switch.
-            num_pushes += dist[v_index] == kInf ? 1 : 0;
-            dist[v_index] = cand;
-            parent[v_index] = fwd;
-            heap.push_or_decrease(cand, v_index);
-            ++num_relaxations;
-          }
-        }
-      }
-      if (settled != num_sw) {
+      if (kernel.run(net, dst_index, weight) != num_sw) {
         error = "network is disconnected";
         return false;
       }
-
-      for (std::size_t i = 0; i < num_sw; ++i) {
-        NodeId s = net.switch_by_index(static_cast<std::uint32_t>(i));
-        if (s == dst_switch) continue;
-        plane.set_next(s, d, parent[i]);
+      for (std::uint32_t i = 0; i < num_sw; ++i) {
+        if (i == dst_index) continue;
+        plane.set_next(net.switch_by_index(i), d, kernel.parent(i));
       }
       stats.paths += num_sw - 1;
-
-      if (options.balance) {
-        // Algorithm 1's weight update: every channel's weight grows by the
-        // number of (terminal, d) paths crossing it. Accumulate subtree
-        // terminal counts from the farthest settled switch inward.
-        for (std::size_t i = 0; i < num_sw; ++i) {
-          subtree[i] = net.terminals_on(net.switch_by_index(
-              static_cast<std::uint32_t>(i)));
-        }
-        for (std::size_t i = num_sw; i-- > 1;) {  // order[0] == dst, skip it
-          const std::uint32_t v_index = order[i];
-          const ChannelId fwd = parent[v_index];
-          weight[fwd] += subtree[v_index];
-          const NodeId next_sw = net.channel(fwd).dst;
-          subtree[net.node(next_sw).type_index] += subtree[v_index];
-        }
-      }
+      if (options.balance) kernel.add_path_weights(net, weight);
     }
   }
 
-  static obs::Counter& c_passes =
-      obs::registry().counter("sssp/dijkstra_passes");
-  static obs::Counter& c_pops = obs::registry().counter("sssp/heap_pops");
-  static obs::Counter& c_pushes = obs::registry().counter("sssp/heap_pushes");
-  static obs::Counter& c_relaxations =
-      obs::registry().counter("sssp/relaxations");
-  c_passes.add(num_passes);
-  c_pops.add(num_pops);
-  c_pushes.add(num_pushes);
-  c_relaxations.add(num_relaxations);
-  // Profile attribution: the same deterministic tallies land on the
-  // innermost enclosing span (the sssp/fill_planes span opened above).
-  PROF_COUNT("sssp/dijkstra_passes", num_passes);
-  PROF_COUNT("sssp/heap_pops", num_pops);
-  PROF_COUNT("sssp/heap_pushes", num_pushes);
-  PROF_COUNT("sssp/relaxations", num_relaxations);
+  // Flushed once per call; the profile puts the same tallies on the
+  // innermost enclosing span (sssp/fill_planes, opened above).
+  const SsspKernel::Work& w = kernel.work();
+  obs::registry().counter("sssp/dijkstra_passes").add(w.passes);
+  obs::registry().counter("sssp/heap_pops").add(w.pops);
+  obs::registry().counter("sssp/heap_pushes").add(w.pushes);
+  obs::registry().counter("sssp/relaxations").add(w.relaxations);
+  PROF_COUNT("sssp/dijkstra_passes", w.passes);
+  PROF_COUNT("sssp/heap_pops", w.pops);
+  PROF_COUNT("sssp/heap_pushes", w.pushes);
+  PROF_COUNT("sssp/relaxations", w.relaxations);
   stats.route_seconds += timer.seconds();
   return true;
 }

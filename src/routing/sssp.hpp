@@ -14,7 +14,9 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
+#include "common/heap.hpp"
 #include "routing/router.hpp"
 
 namespace dfsssp {
@@ -38,6 +40,46 @@ class SsspRouter final : public Router {
 
  private:
   SsspOptions options_;
+};
+
+/// Algorithm 1's per-destination step, the one weighted Dijkstra of the
+/// codebase (full routes and incremental repair). Owns the scratch arrays
+/// and the heap, so repeated destinations allocate nothing.
+class SsspKernel {
+ public:
+  explicit SsspKernel(std::size_t num_switches = 0)
+      : dist_(num_switches), parent_(num_switches), order_(num_switches),
+        subtree_(num_switches), heap_(num_switches) {}
+
+  /// Dijkstra outward from switch `dst_index` over the alive adjacency; a
+  /// settled switch forwards on the reverse of its relaxing channel.
+  /// Returns the number of switches settled.
+  std::size_t run(const Network& net, std::uint32_t dst_index,
+                  std::span<const std::uint64_t> weight);
+  /// Grows each channel of the last run's tree by the number of terminal
+  /// paths crossing it.
+  void add_path_weights(const Network& net, std::span<std::uint64_t> weight);
+
+  /// Forwarding channel of switch `i`; kInvalidChannel for the destination
+  /// and for switches the last run did not reach.
+  ChannelId parent(std::uint32_t i) const { return parent_[i]; }
+
+  /// Heap traffic summed over every run().
+  struct Work {
+    std::uint64_t passes = 0, pops = 0, pushes = 0, relaxations = 0;
+  };
+  const Work& work() const { return work_; }
+
+ private:
+  static constexpr std::uint64_t kInf = ~0ULL;
+
+  std::vector<std::uint64_t> dist_;
+  std::vector<ChannelId> parent_;
+  std::vector<std::uint32_t> order_;    // switches by settle order
+  std::vector<std::uint64_t> subtree_;  // path-count accumulation
+  std::size_t settled_ = 0;
+  MinHeap<std::uint64_t> heap_;
+  Work work_;
 };
 
 /// Shared core used by SsspRouter and DfssspRouter.

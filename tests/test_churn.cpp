@@ -12,11 +12,13 @@
 #include <sstream>
 
 #include "analysis/certificate.hpp"
+#include "common/rng.hpp"
 #include "fault/churn.hpp"
 #include "fault/incremental.hpp"
 #include "fault/schedule.hpp"
 #include "obs/metrics.hpp"
 #include "routing/dump.hpp"
+#include "routing/sssp.hpp"
 #include "routing/verify.hpp"
 #include "topology/generators.hpp"
 
@@ -128,6 +130,33 @@ TEST(ChurnEngine, DeltaReportsEffectiveChanges) {
   ASSERT_TRUE(revive.applied);
   EXPECT_EQ(revive.restored, delta.downed);
   EXPECT_EQ(net.num_dead_channels(), 0u);
+}
+
+// Repair and the SSSP router share one Dijkstra kernel and one weight
+// update, so on an intact fabric a from-scratch incremental route must pick
+// exactly balanced SSSP's next hops.
+TEST(IncrementalDfsssp, IntactRouteMatchesBalancedSssp) {
+  const std::vector<std::uint32_t> dims{4, 3, 3};
+  Rng rng(0xF169'0000ULL + 300);
+  std::vector<Topology> fabrics;
+  fabrics.push_back(make_ring(8, 2));
+  fabrics.push_back(make_torus(dims, 2, true));
+  fabrics.push_back(make_random(128, 16, 300, 16, rng));
+  fabrics.push_back(make_deimos());
+  for (const Topology& topo : fabrics) {
+    const Network& net = topo.net;
+    const RouteResponse sssp = route_sssp(net, {.balance = true});
+    ASSERT_TRUE(sssp.ok) << sssp.error;
+    IncrementalDfsssp inc(IncrementalOptions{.max_layers = kMaxLayers});
+    const RouteResponse out = inc.route(RouteRequest(topo));
+    ASSERT_TRUE(out.ok) << out.error;
+    for (NodeId sw : net.switches()) {
+      for (NodeId t : net.terminals()) {
+        ASSERT_EQ(out.table.next(sw, t), sssp.table.next(sw, t))
+            << net.node_name(sw) << " -> " << net.node_name(t);
+      }
+    }
+  }
 }
 
 TEST(IncrementalDfsssp, SingleLinkRepairReroutesOnlyAffected) {

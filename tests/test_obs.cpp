@@ -220,6 +220,16 @@ TEST(ObsRegistry, RejectsUnsortedHistogramEdges) {
                std::logic_error);
 }
 
+// A rejected registration must leave the registry as it was: a snapshot
+// afterwards neither crashes nor reports the name, and the name stays free.
+TEST(ObsRegistry, RejectedHistogramLeavesNoEntry) {
+  obs::Registry reg;
+  EXPECT_THROW(reg.histogram("test/rejected", {9, 4}), std::logic_error);
+  EXPECT_EQ(reg.snapshot().count("test/rejected"), 0u);
+  reg.histogram("test/rejected", {4, 9}).record(5);
+  EXPECT_EQ(reg.snapshot().at("test/rejected").hist.count, 1u);
+}
+
 TEST(ObsRegistry, ExponentialBucketsAscendStrictly) {
   const auto edges = obs::exponential_buckets(1, 1.3, 12);
   ASSERT_EQ(edges.size(), 12u);

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "cdg/first_fit.hpp"
 #include "cdg/verify.hpp"
 #include "common/rng.hpp"
 
@@ -100,6 +101,58 @@ TEST(OnlineCdg, RandomizedAgainstNaiveChecker) {
 TEST(OnlineCdg, SelfLoopRejected) {
   OnlineCdg cdg(2);
   EXPECT_FALSE(cdg.try_add_path(std::vector<ChannelId>{1, 1}));
+}
+
+using Seq = std::vector<ChannelId>;
+
+TEST(FirstFitLayers, RejectedUnitRollsBackAndMovesToNextLayer) {
+  FirstFitLayers layers(4, 3);
+  EXPECT_EQ(layers.place({Seq{0, 1, 2}}), 0);
+  // {2,3} fits layer 0 alone, but {3,0} then closes 0->1->2->3->0: the
+  // whole unit moves to layer 1 and layer 0 keeps none of it.
+  EXPECT_EQ(layers.place({Seq{2, 3}, Seq{3, 0}}), 1);
+  EXPECT_FALSE(layers.layer(0).has_edge(2, 3));
+  EXPECT_FALSE(layers.layer(0).has_edge(3, 0));
+  EXPECT_TRUE(layers.layer(0).has_edge(1, 2));
+  EXPECT_TRUE(layers.layer(1).has_edge(2, 3));
+  EXPECT_TRUE(layers.layer(1).has_edge(3, 0));
+  EXPECT_EQ(layers.num_layers(), 2);
+  EXPECT_EQ(layers.attempts(), 3u);  // layer 0, then layers 0 and 1
+  EXPECT_EQ(layers.insertions(), 5u);  // (2,3) entered layer 0 and left
+  EXPECT_TRUE(layers.topological_orders(3)[2].empty());  // never reached
+
+  EXPECT_EQ(layers.layers_used(), 2);
+  layers.remove(1, Seq{3, 0});
+  EXPECT_FALSE(layers.layer(1).has_edge(3, 0));
+  EXPECT_TRUE(layers.layer(1).has_edge(2, 3));
+  layers.remove(1, Seq{2, 3});
+  EXPECT_EQ(layers.layers_used(), 1);  // layer 1 holds no path any more
+}
+
+TEST(FirstFitLayers, UnitWithoutDependenciesTakesLayerZeroUntried) {
+  FirstFitLayers layers(4, 2);
+  EXPECT_EQ(layers.place({Seq{3}, Seq{}}), 0);
+  EXPECT_EQ(layers.place({Seq{1}}), 0);
+  EXPECT_EQ(layers.attempts(), 0u);
+  EXPECT_EQ(layers.num_layers(), 0);
+  layers.remove(0, Seq{3});  // nothing was added, nothing to take out
+  EXPECT_EQ(layers.num_layers(), 0);
+}
+
+TEST(FirstFitLayers, OverflowChangesNoLayer) {
+  FirstFitLayers layers(4, 2);
+  EXPECT_EQ(layers.place({Seq{0, 1}}), 0);
+  EXPECT_EQ(layers.place({Seq{1, 0}}), 1);
+  const auto orders = layers.topological_orders(2);
+  // {2,3} fits every layer; {1,0} or {0,1} then closes a cycle in each.
+  EXPECT_EQ(layers.place({Seq{2, 3}, Seq{1, 0}, Seq{0, 1}}), kInvalidLayer);
+  EXPECT_EQ(layers.num_layers(), 2);
+  EXPECT_EQ(layers.attempts(), 1u + 2u + 2u);
+  for (Layer l = 0; l < 2; ++l) {
+    EXPECT_FALSE(layers.layer(l).has_edge(2, 3));
+    EXPECT_EQ(layers.layer(l).num_edges(), 1u);
+  }
+  EXPECT_EQ(layers.topological_orders(2), orders);
 }
 
 }  // namespace
