@@ -17,8 +17,9 @@ namespace {
 
 std::uint64_t heaviest_layer_weight(const Topology& topo,
                                     const RoutingTable& table) {
-  PathSet paths = collect_paths(topo.net, table);
-  std::vector<Layer> layers = collect_layers(topo.net, table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, table, paths, layers);
   std::uint64_t heaviest = 0;
   for (const CdgLayerStats& s : cdg_layer_stats(
            paths, layers, static_cast<std::uint32_t>(topo.net.num_channels()))) {

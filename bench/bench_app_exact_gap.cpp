@@ -20,7 +20,9 @@ namespace {
 app::Instance to_instance(const Topology& topo, const RoutingTable& table) {
   app::Instance inst;
   inst.num_nodes = static_cast<std::uint32_t>(topo.net.num_channels());
-  PathSet paths = collect_paths(topo.net, table);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, table, paths, layers);
   for (std::uint32_t p = 0; p < paths.size(); ++p) {
     auto seq = paths.channels(p);
     if (seq.size() < 2) continue;

@@ -49,7 +49,9 @@ void BM_OfflineLayering(benchmark::State& state) {
                               static_cast<std::uint32_t>(state.range(0)) * 2,
                               16, rng);
   RouteResponse sssp = SsspRouter().route(RouteRequest(topo));
-  PathSet paths = collect_paths(topo.net, sssp.table);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, sssp.table, paths, layers);
   for (auto _ : state) {
     LayerResult r = assign_layers_offline(
         paths, static_cast<std::uint32_t>(topo.net.num_channels()),
@@ -65,7 +67,9 @@ void BM_OnlineCdgInsert(benchmark::State& state) {
   Rng rng(43);
   Topology topo = make_random(32, 8, 64, 16, rng);
   RouteResponse sssp = SsspRouter().route(RouteRequest(topo));
-  PathSet paths = collect_paths(topo.net, sssp.table);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, sssp.table, paths, layers);
   for (auto _ : state) {
     OnlineCdg cdg(static_cast<std::uint32_t>(topo.net.num_channels()));
     std::uint64_t accepted = 0;

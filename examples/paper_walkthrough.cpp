@@ -46,7 +46,9 @@ void section_ring_cdg() {
   std::printf("== Section III: the Figure 2 ring's dependency cycle ==\n");
   Topology topo = make_ring(5, 1);
   RouteResponse sssp = SsspRouter().route(RouteRequest(topo));
-  PathSet paths = collect_paths(topo.net, sssp.table);
+  PathSet paths;
+  std::vector<Layer> sssp_layers;
+  collect_paths(topo.net, sssp.table, paths, sssp_layers);
   std::vector<std::uint32_t> all(paths.size());
   std::iota(all.begin(), all.end(), 0U);
   std::printf("  SSSP on the 5-ring: CDG acyclic? %s\n",
@@ -57,8 +59,9 @@ void section_ring_cdg() {
 
   RouteResponse dfsssp =
       DfssspRouter(DfssspOptions{.balance = false}).route(RouteRequest(topo));
-  PathSet dpaths = collect_paths(topo.net, dfsssp.table);
-  std::vector<Layer> layers = collect_layers(topo.net, dfsssp.table, dpaths);
+  PathSet dpaths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, dfsssp.table, dpaths, layers);
   std::printf("  DFSSSP breaks %llu cycles into %u layers:\n",
               static_cast<unsigned long long>(dfsssp.stats.cycles_broken),
               unsigned(dfsssp.stats.layers_used));

@@ -183,8 +183,9 @@ int main(int argc, char** argv) {
                   cli.get("save-dump", "").c_str());
     }
     if (cli.has("cdg-dot")) {
-      PathSet paths = collect_paths(topo.net, out.table);
-      std::vector<Layer> layers = collect_layers(topo.net, out.table, paths);
+      PathSet paths;
+      std::vector<Layer> layers;
+      collect_paths(topo.net, out.table, paths, layers);
       std::ofstream cdg_out(cli.get("cdg-dot", ""));
       write_cdg_dot(topo.net, paths, layers, 0, cdg_out);
       std::printf("wrote layer-0 CDG DOT to %s\n",

@@ -118,8 +118,9 @@ CertificateResult make_certificate(const Network& net,
     result.error = "routing table was not built for this network";
     return result;
   }
-  const PathSet paths = collect_paths(net, table);
-  const std::vector<Layer> layers = collect_layers(net, table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(net, table, paths, layers);
   CertificateResult result = make_certificate(
       paths, layers, static_cast<std::uint32_t>(net.num_channels()), exec);
   if (result.ok && result.cert.num_layers < table.num_layers()) {
@@ -300,49 +301,51 @@ CertCheckResult check_certificate(const Network& net,
   }
 
   // One pass over every forwarding path; no cycle search anywhere.
-  std::vector<ChannelId> seq;
-  for (NodeId sw : net.switches()) {
-    if (net.terminals_on(sw) == 0 || !net.switch_up(sw)) continue;
-    for (NodeId t : net.terminals()) {
-      if (net.switch_of(t) == sw || !net.terminal_alive(t)) continue;
-      // Only a rejection reads the pair's name.
-      auto pair_name = [&] {
-        return net.node_name(sw) + " -> " + net.node_name(t);
-      };
-      if (!table.extract_path(net, sw, t, seq)) {
-        return reject("broken forwarding path " + pair_name() +
-                      " (dead end or loop); nothing to certify");
-      }
-      const Layer l = table.layer(sw, t);
-      if (l >= cert.num_layers) {
-        return reject("path " + pair_name() + " on layer " +
-                      std::to_string(unsigned(l)) +
-                      " beyond the certificate's " +
-                      std::to_string(unsigned(cert.num_layers)) + " layers");
-      }
-      ++result.paths_checked;
-      for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-        const std::uint32_t pa = pos[l][seq[i]];
-        const std::uint32_t pb = pos[l][seq[i + 1]];
-        if (pa == kNoPos || pb == kNoPos) {
-          const ChannelId missing = pa == kNoPos ? seq[i] : seq[i + 1];
-          return reject("layer " + std::to_string(unsigned(l)) +
-                        ": channel " + channel_name(net, missing) +
-                        " used by path " + pair_name() +
-                        " is missing from the order");
-        }
-        if (pa >= pb) {
-          return reject("layer " + std::to_string(unsigned(l)) +
-                        ": dependency " + channel_name(net, seq[i]) +
-                        " => " + channel_name(net, seq[i + 1]) +
-                        " of path " + pair_name() +
-                        " violates the topological order");
-        }
-        ++result.deps_checked;
-      }
+  const std::vector<NodeId> sources = routed_sources(net);
+  walk_routed_paths(net, table, sources, [&](const RoutedPath& r) {
+    // Only a rejection reads the pair's name.
+    auto pair_name = [&] {
+      return net.node_name(r.src_switch) + " -> " +
+             net.node_name(r.dst_terminal);
+    };
+    if (!r.walked) {
+      result.error = "broken forwarding path " + pair_name() +
+                     " (dead end or loop); nothing to certify";
+      return false;
     }
-  }
-  result.ok = true;
+    const Layer l = r.layer;
+    if (l >= cert.num_layers) {
+      result.error = "path " + pair_name() + " on layer " +
+                     std::to_string(unsigned(l)) +
+                     " beyond the certificate's " +
+                     std::to_string(unsigned(cert.num_layers)) + " layers";
+      return false;
+    }
+    ++result.paths_checked;
+    const std::span<const ChannelId> seq = r.channels;
+    for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+      const std::uint32_t pa = pos[l][seq[i]];
+      const std::uint32_t pb = pos[l][seq[i + 1]];
+      if (pa == kNoPos || pb == kNoPos) {
+        const ChannelId missing = pa == kNoPos ? seq[i] : seq[i + 1];
+        result.error = "layer " + std::to_string(unsigned(l)) +
+                       ": channel " + channel_name(net, missing) +
+                       " used by path " + pair_name() +
+                       " is missing from the order";
+        return false;
+      }
+      if (pa >= pb) {
+        result.error = "layer " + std::to_string(unsigned(l)) +
+                       ": dependency " + channel_name(net, seq[i]) + " => " +
+                       channel_name(net, seq[i + 1]) + " of path " +
+                       pair_name() + " violates the topological order";
+        return false;
+      }
+      ++result.deps_checked;
+    }
+    return true;
+  });
+  result.ok = result.error.empty();
   return result;
 }
 

@@ -105,8 +105,10 @@ struct CertCheckResult {
 /// for `net`, the layer counts
 /// disagree, a layer's order lists a channel twice, a path's layer has no
 /// order, a dependency's channel is missing from its layer's order, a
-/// dependency violates the order, or a forwarding walk is broken (a path
-/// that cannot be walked cannot be certified).
+/// dependency violates the order, or a forwarding walk is broken (a dead
+/// end, a loop or a hop over a dead channel: a path that cannot be walked
+/// cannot be certified). The paths come from walk_routed_paths
+/// (routing/collect.hpp), in its order.
 CertCheckResult check_certificate(const Network& net,
                                   const RoutingTable& table,
                                   const Certificate& cert);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <queue>
 
 #include "analysis/existence.hpp"
+#include "routing/collect.hpp"
+#include "routing/spath.hpp"
 
 namespace dfsssp {
 
@@ -26,39 +27,21 @@ const char* to_string(LintKind kind) {
 
 namespace {
 
-/// Everything one destination terminal contributes, produced independently
-/// per destination and folded in destination order.
-struct DestFindings {
-  std::vector<Lint> lints;  // capped at max_reports_per_kind per kind
+/// kLayerSkew fires above this max/mean weighted layer load.
+constexpr double kSkewThreshold = 2.0;
+/// Detailed messages kept per kind; counts are always exact.
+constexpr std::uint32_t kMaxReportsPerKind = 8;
+/// The existence bound is O(S^2); larger networks skip it.
+constexpr std::uint32_t kExistenceMaxSwitches = 96;
+
+/// Everything one source switch contributes, produced independently per
+/// source and folded in source order.
+struct SourceFindings {
+  std::vector<Lint> lints;  // capped at kMaxReportsPerKind per kind
   std::array<std::uint64_t, kNumLintKinds> counts{};
   std::vector<std::uint64_t> layer_weight;  // indexed by layer
   std::uint64_t paths_checked = 0;
 };
-
-/// BFS hop distance from every switch to `dst_sw`. Links are bidirectional
-/// (every channel has a reverse), so the forward BFS distance equals the
-/// reverse one.
-std::vector<std::uint32_t> bfs_distances(const Network& net, NodeId dst_sw) {
-  constexpr std::uint32_t kInf = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> dist(net.num_switches(), kInf);
-  std::queue<NodeId> bfs;
-  dist[net.node(dst_sw).type_index] = 0;
-  bfs.push(dst_sw);
-  while (!bfs.empty()) {
-    const NodeId u = bfs.front();
-    bfs.pop();
-    const std::uint32_t du = dist[net.node(u).type_index];
-    for (ChannelId c : net.out_switch_channels(u)) {
-      const NodeId v = net.channel(c).dst;
-      std::uint32_t& dv = dist[net.node(v).type_index];
-      if (dv == kInf) {
-        dv = du + 1;
-        bfs.push(v);
-      }
-    }
-  }
-  return dist;
-}
 
 }  // namespace
 
@@ -66,78 +49,76 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
                         const LintOptions& options, const DumpStats* dump,
                         const ExecContext& exec) {
   const Layer num_layers = std::max<Layer>(1, table.num_layers());
-  const std::uint32_t cap = std::max<std::uint32_t>(1,
-                                                    options.max_reports_per_kind);
+  const std::vector<NodeId> sources = routed_sources(net);
 
-  auto per_dest = parallel_map(
-      exec, net.num_terminals(), [&](std::size_t ti) {
-        DestFindings f;
+  auto per_source = parallel_map(
+      exec, sources.size(), [&](std::size_t i) {
+        SourceFindings f;
         f.layer_weight.assign(num_layers, 0);
-        const NodeId dst = net.terminal_by_index(
-            static_cast<std::uint32_t>(ti));
-        if (!net.terminal_alive(dst)) return f;  // fell off with its switch
-        const NodeId dst_sw = net.switch_of(dst);
-        const auto dist = bfs_distances(net, dst_sw);
-        auto emit = [&](LintKind kind, std::string msg) {
-          const auto k = static_cast<std::size_t>(kind);
-          ++f.counts[k];
-          std::uint32_t reported = 0;
-          for (const Lint& l : f.lints) reported += l.kind == kind ? 1 : 0;
-          if (reported < cap) f.lints.push_back({kind, std::move(msg)});
+        const NodeId sw = sources[i];
+        const std::uint32_t weight = net.terminals_on(sw);
+        std::vector<std::uint32_t> dist;
+        bfs_hops_to(net, sw, dist);
+        // Only a reported finding builds its message.
+        auto emit = [&](LintKind kind, auto&& message) {
+          if (++f.counts[static_cast<std::size_t>(kind)] <=
+              kMaxReportsPerKind) {
+            f.lints.push_back({kind, message()});
+          }
         };
-        std::vector<ChannelId> seq;
-        for (NodeId sw : net.switches()) {
-          if (sw == dst_sw) {
-            if (table.next(sw, dst) != kInvalidChannel) {
-              emit(LintKind::kDanglingLftEntry,
-                   "lft entry at " + net.node_name(sw) + " for local terminal " +
-                       net.node_name(dst) + " (should eject, not forward)");
-            }
-            continue;
-          }
-          // Source switches without terminals originate no paths; their LFT
-          // entries are exercised as transit hops of the walks below. Down
-          // switches originate nothing either.
-          if (net.terminals_on(sw) == 0 || !net.switch_up(sw)) continue;
-          const std::string pair_name =
-              net.node_name(sw) + " -> " + net.node_name(dst);
-          const Layer l = table.layer(sw, dst);
-          if (l >= table.num_layers()) {
-            emit(LintKind::kSlOutOfRange,
-                 "sl entry " + pair_name + " selects layer " +
-                     std::to_string(unsigned(l)) + " but only " +
-                     std::to_string(unsigned(table.num_layers())) +
-                     " layers are declared");
-          }
-          if (table.next(sw, dst) == kInvalidChannel) {
-            emit(LintKind::kUnreachableDestination,
-                 "no lft entry for " + pair_name);
-            continue;
-          }
-          if (!table.extract_path(net, sw, dst, seq)) {
-            emit(LintKind::kUnreachableDestination,
-                 "forwarding walk " + pair_name + " dead-ends or loops");
-            continue;
-          }
-          ++f.paths_checked;
-          if (l < num_layers && net.terminals_on(sw) > 0) {
-            f.layer_weight[l] += net.terminals_on(sw);
-          }
-          const std::uint32_t d = dist[net.node(sw).type_index];
-          if (seq.size() > d) {
-            emit(LintKind::kNonMinimalPath,
-                 "path " + pair_name + " takes " +
-                     std::to_string(seq.size()) + " hops, BFS distance is " +
-                     std::to_string(d));
+        // Packets for the source's own (alive) terminals must be ejected.
+        for (NodeId t : net.terminals()) {
+          if (net.switch_of(t) == sw && table.next(sw, t) != kInvalidChannel) {
+            emit(LintKind::kDanglingLftEntry, [&] {
+              return "lft entry at " + net.node_name(sw) +
+                     " for local terminal " + net.node_name(t) +
+                     " (should eject, not forward)";
+            });
           }
         }
+        // Switches without terminals originate no paths; their LFT entries
+        // are exercised as transit hops of these walks.
+        walk_routed_paths(net, table, {&sw, 1}, [&](const RoutedPath& r) {
+          auto pair_name = [&] {
+            return net.node_name(sw) + " -> " + net.node_name(r.dst_terminal);
+          };
+          if (r.layer >= table.num_layers()) {
+            emit(LintKind::kSlOutOfRange, [&] {
+              return "sl entry " + pair_name() + " selects layer " +
+                     std::to_string(unsigned(r.layer)) + " but only " +
+                     std::to_string(unsigned(table.num_layers())) +
+                     " layers are declared";
+            });
+          }
+          if (!r.walked) {
+            emit(LintKind::kUnreachableDestination, [&] {
+              return table.next(sw, r.dst_terminal) == kInvalidChannel
+                         ? "no lft entry for " + pair_name()
+                         : "forwarding walk " + pair_name() +
+                               " dead-ends, loops or crosses a dead link";
+            });
+            return true;
+          }
+          ++f.paths_checked;
+          if (r.layer < num_layers) f.layer_weight[r.layer] += weight;
+          const std::uint32_t d =
+              dist[net.node(net.switch_of(r.dst_terminal)).type_index];
+          if (r.channels.size() > d) {
+            emit(LintKind::kNonMinimalPath, [&] {
+              return "path " + pair_name() + " takes " +
+                     std::to_string(r.channels.size()) +
+                     " hops, BFS distance is " + std::to_string(d);
+            });
+          }
+          return true;
+        });
         return f;
       });
 
   LintReport report;
   std::vector<std::uint64_t> layer_weight(num_layers, 0);
   std::array<std::uint32_t, kNumLintKinds> reported{};
-  for (DestFindings& f : per_dest) {
+  for (SourceFindings& f : per_source) {
     report.paths_checked += f.paths_checked;
     for (std::size_t k = 0; k < kNumLintKinds; ++k) {
       report.counts[k] += f.counts[k];
@@ -145,7 +126,7 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
     for (Layer l = 0; l < num_layers; ++l) layer_weight[l] += f.layer_weight[l];
     for (Lint& lint : f.lints) {
       std::uint32_t& seen = reported[static_cast<std::size_t>(lint.kind)];
-      if (seen < cap) {
+      if (seen < kMaxReportsPerKind) {
         ++seen;
         report.lints.push_back(std::move(lint));
       }
@@ -180,12 +161,12 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
     const double mean =
         static_cast<double>(total_weight) / static_cast<double>(num_layers);
     const double skew = static_cast<double>(max_weight) / mean;
-    if (skew > options.skew_threshold) {
+    if (skew > kSkewThreshold) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
                     "weighted layer load is skewed: max/mean = %.2f "
                     "(threshold %.2f); consider balancing",
-                    skew, options.skew_threshold);
+                    skew, kSkewThreshold);
       emit_global(LintKind::kLayerSkew, buf);
     }
   }
@@ -198,7 +179,7 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
   if (options.existence_bound && report.paths_checked > 0 &&
       report.count(LintKind::kNonMinimalPath) == 0) {
     const ExistenceBound bound =
-        existence_lower_bound(net, options.existence_max_switches);
+        existence_lower_bound(net, kExistenceMaxSwitches);
     if (bound.computed && num_layers < bound.min_layers) {
       emit_global(
           LintKind::kLayersBelowExistenceBound,
@@ -229,7 +210,7 @@ LintReport lint_routing(const Network& net, const RoutingTable& table,
                       " duplicate sl line(s) in the dump");
     }
     // dump->local_lft needs no extra lint: the loaded table carries those
-    // entries, so the per-destination dangling check above reports them.
+    // entries, so the per-source dangling check above reports them.
   }
   return report;
 }

@@ -23,11 +23,12 @@
 namespace dfsssp {
 
 enum class LintKind : std::uint8_t {
-  /// Missing LFT entry, dead end, or forwarding loop toward a destination.
+  /// Missing LFT entry, dead end, forwarding loop or hop over a dead link
+  /// toward a destination.
   kUnreachableDestination,
   /// Path longer than the BFS hop distance between the switches.
   kNonMinimalPath,
-  /// Weighted layer load max/mean above the threshold.
+  /// Weighted layer load max/mean above 2.
   kLayerSkew,
   /// More layers than the hardware has virtual lanes.
   kExcessVirtualLayers,
@@ -57,22 +58,17 @@ struct Lint {
 struct LintOptions {
   /// Virtual lanes the target hardware offers (InfiniBand: 8).
   Layer hardware_vls = 8;
-  /// kLayerSkew fires when max weighted layer load / mean exceeds this.
-  double skew_threshold = 2.0;
-  /// Detailed messages are capped per kind; counts are always exact.
-  std::uint32_t max_reports_per_kind = 8;
   /// Compare the declared layer count against the existence lower bound
   /// (only meaningful for minimal routings; skipped when any
-  /// kNonMinimalPath fired).
+  /// kNonMinimalPath fired, and on networks of more than 96 switches).
   bool existence_bound = true;
-  /// The existence bound is an O(S^2) analysis; networks with more
-  /// switches than this skip it.
-  std::uint32_t existence_max_switches = 96;
 };
 
 struct LintReport {
-  /// Detailed findings, at most max_reports_per_kind per kind, in
-  /// destination order (deterministic at any thread count).
+  /// Detailed findings, at most 8 per kind. The per-pair findings come out
+  /// in source-switch order (walk_routed_paths, routing/collect.hpp), then
+  /// the layer-level and file-level ones; deterministic at any thread
+  /// count.
   std::vector<Lint> lints;
   /// Exact per-kind totals, indexed by LintKind.
   std::array<std::uint64_t, kNumLintKinds> counts{};
@@ -89,9 +85,9 @@ struct LintReport {
   }
 };
 
-/// Runs every lint over the routing. Destination terminals are independent
-/// (each owns its BFS distance field and its path walks) and fan out over
-/// `exec`'s threads; findings are folded back in destination order. `dump`,
+/// Runs every lint over the routing. Source switches are independent (each
+/// owns one BFS distance field and its path walks) and fan out over
+/// `exec`'s threads; findings are folded back in source order. `dump`,
 /// when non-null, adds the file-level lints (duplicates, local LFT lines)
 /// that are invisible in the loaded table.
 LintReport lint_routing(const Network& net, const RoutingTable& table,

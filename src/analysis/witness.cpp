@@ -132,8 +132,9 @@ DeadlockWitness extract_witness(const PathSet& paths,
 DeadlockWitness extract_witness(const Network& net, const RoutingTable& table,
                                 std::uint32_t max_paths_per_edge) {
   if (!table.built_for(net)) return DeadlockWitness{};
-  const PathSet paths = collect_paths(net, table);
-  const std::vector<Layer> layers = collect_layers(net, table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(net, table, paths, layers);
   Layer num_layers = table.num_layers();
   for (std::size_t p = 0; p < paths.size(); ++p) {
     num_layers = std::max<Layer>(num_layers, layers[p] + 1);

@@ -28,6 +28,14 @@ class PathSet {
     offset_.push_back(static_cast<std::uint32_t>(channels_.size()));
   }
 
+  /// Makes room for `num_paths` paths in total (their channels excluded).
+  void reserve(std::size_t num_paths) {
+    offset_.reserve(num_paths + 1);
+    src_switch_.reserve(num_paths);
+    dst_terminal_.reserve(num_paths);
+    weight_.reserve(num_paths);
+  }
+
   std::size_t size() const { return src_switch_.size(); }
   bool empty() const { return src_switch_.empty(); }
 

@@ -8,7 +8,7 @@
 //   * invocations — how many times the span opened (deterministic),
 //   * total/self wall time — Kind::kTiming, never exact-compared,
 //   * deterministic cost counters — PROF_COUNT tallies (cycle-search
-//     steps, heap pushes/pops, edge relaxations, re-layer attempts, CDG
+//     steps, heap pops, edge relaxations, re-layer attempts, CDG
 //     edge insertions) attributed to the innermost enclosing span.
 //
 // The deterministic columns (invocations + counters) are bitwise identical

@@ -6,40 +6,44 @@
 
 namespace dfsssp {
 
-PathSet collect_paths(const Network& net, const RoutingTable& table) {
-  PathSet paths;
-  std::vector<ChannelId> seq;
-  for (NodeId src_sw : net.switches()) {
-    const std::uint32_t weight = net.terminals_on(src_sw);
-    if (weight == 0 || !net.switch_up(src_sw)) continue;
-    for (NodeId t : net.terminals()) {
-      if (net.switch_of(t) == src_sw || !net.terminal_alive(t)) continue;
-      if (!table.extract_path(net, src_sw, t, seq)) {
-        throw std::runtime_error("collect_paths: broken forwarding from " +
-                                 net.node_name(src_sw) + " to " +
-                                 net.node_name(t));
-      }
-      paths.add(net.node(src_sw).type_index, net.node(t).type_index, seq,
-                weight);
-    }
+std::vector<NodeId> routed_sources(const Network& net) {
+  std::vector<NodeId> sources;
+  for (NodeId sw : net.switches()) {
+    if (net.terminals_on(sw) > 0 && net.switch_up(sw)) sources.push_back(sw);
   }
-  return paths;
+  return sources;
 }
 
-std::vector<Layer> collect_layers(const Network& net, const RoutingTable& table,
-                                  const PathSet& paths) {
-  std::vector<Layer> layers(paths.size());
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    layers[p] = table.layer(net.switch_by_index(paths.src_switch_index(p)),
-                            net.terminal_by_index(paths.dst_terminal_index(p)));
-  }
-  return layers;
+void collect_paths(const Network& net, const RoutingTable& table,
+                   PathSet& paths, std::vector<Layer>& layers) {
+  // Every terminal on an up switch is alive, so each source pairs with all
+  // alive terminals but its own.
+  const std::vector<NodeId> sources = routed_sources(net);
+  std::size_t alive_terminals = 0;
+  for (NodeId sw : sources) alive_terminals += net.terminals_on(sw);
+  const std::size_t pairs =
+      sources.empty() ? 0 : alive_terminals * (sources.size() - 1);
+  paths.reserve(paths.size() + pairs);
+  layers.reserve(layers.size() + pairs);
+  walk_routed_paths(net, table, sources, [&](const RoutedPath& r) {
+    if (!r.walked) {
+      throw std::runtime_error("collect_paths: broken forwarding from " +
+                               net.node_name(r.src_switch) + " to " +
+                               net.node_name(r.dst_terminal));
+    }
+    paths.add(net.node(r.src_switch).type_index,
+              net.node(r.dst_terminal).type_index, r.channels,
+              net.terminals_on(r.src_switch));
+    layers.push_back(r.layer);
+    return true;
+  });
 }
 
 bool routing_is_deadlock_free(const Network& net, const RoutingTable& table,
                               const ExecContext& exec) {
-  PathSet paths = collect_paths(net, table);
-  std::vector<Layer> layers = collect_layers(net, table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(net, table, paths, layers);
   return layering_is_deadlock_free(
       paths, layers, static_cast<std::uint32_t>(net.num_channels()), exec);
 }

@@ -25,13 +25,14 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   std::uint64_t acyclicity_checks = 0, pk_reorders = 0;
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
-  PathSet paths = collect_paths(net, out.table);
-
+  // SSSP leaves every pair on layer 0, so `layer` starts all zero.
+  PathSet paths;
   std::vector<Layer> layer;
+  collect_paths(net, out.table, paths, layer);
+
   Layer layers_used = 1;
   const LayeringMode mode = options_.mode;
   if (mode == LayeringMode::kOnline) {
-    layer.assign(paths.size(), 0);
     FirstFitLayers layers(num_channels, max_layers);
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
       const Layer assigned = layers.place({paths.channels(p)});
@@ -52,7 +53,6 @@ RouteResponse DfssspRouter::route(const RouteRequest& request) const {
   } else if (mode == LayeringMode::kOnlineNaive) {
     // The paper's first approach: per path, per candidate layer, rebuild
     // the layer's member set and run a full depth-first cycle search.
-    layer.assign(paths.size(), 0);
     std::vector<std::vector<std::uint32_t>> members(max_layers);
     for (std::uint32_t p = 0; p < paths.size(); ++p) {
       auto seq = paths.channels(p);

@@ -40,19 +40,11 @@ MultipathOutcome route_dfsssp_multipath(const Topology& topo, std::uint8_t lmc,
   const std::uint32_t num_channels =
       static_cast<std::uint32_t>(net.num_channels());
   PathSet paths;
-  std::size_t per_plane = 0;
-  {
-    PathSet first = collect_paths(net, out.planes.front());
-    per_plane = first.size();
-    paths = std::move(first);
+  std::vector<Layer> sssp_layers;  // all 0; the joint layering replaces them
+  for (const RoutingTable& plane : out.planes) {
+    collect_paths(net, plane, paths, sssp_layers);
   }
-  for (std::size_t r = 1; r < out.planes.size(); ++r) {
-    PathSet more = collect_paths(net, out.planes[r]);
-    for (std::uint32_t p = 0; p < more.size(); ++p) {
-      paths.add(more.src_switch_index(p), more.dst_terminal_index(p),
-                more.channels(p), more.weight(p));
-    }
-  }
+  const std::size_t per_plane = paths.size() / out.planes.size();
 
   LayerOptions lopts;
   lopts.max_layers = options.max_layers;
@@ -84,14 +76,7 @@ bool multipath_is_deadlock_free(const Network& net,
   PathSet paths;
   std::vector<Layer> layers;
   for (const RoutingTable& plane : planes) {
-    PathSet plane_paths = collect_paths(net, plane);
-    std::vector<Layer> plane_layers = collect_layers(net, plane, plane_paths);
-    for (std::uint32_t p = 0; p < plane_paths.size(); ++p) {
-      paths.add(plane_paths.src_switch_index(p),
-                plane_paths.dst_terminal_index(p), plane_paths.channels(p),
-                plane_paths.weight(p));
-      layers.push_back(plane_layers[p]);
-    }
+    collect_paths(net, plane, paths, layers);
   }
   return layering_is_deadlock_free(paths, layers,
                                    static_cast<std::uint32_t>(net.num_channels()));

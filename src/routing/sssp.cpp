@@ -36,11 +36,10 @@ std::size_t SsspKernel::run(const Network& net, std::uint32_t dst_index,
     }
   }
   // Every switch enters the heap once (later relaxations are decrease-keys)
-  // and leaves it once, so pushes and pops both equal the settled count.
+  // and leaves it once, so the pops equal the settled count.
   settled_ = settled;
   ++work_.passes;
   work_.pops += settled;
-  work_.pushes += settled;
   work_.relaxations += num_relaxations;
   return settled;
 }
@@ -104,11 +103,9 @@ bool sssp_fill_planes(const Network& net, const SsspOptions& options,
   const SsspKernel::Work& w = kernel.work();
   obs::registry().counter("sssp/dijkstra_passes").add(w.passes);
   obs::registry().counter("sssp/heap_pops").add(w.pops);
-  obs::registry().counter("sssp/heap_pushes").add(w.pushes);
   obs::registry().counter("sssp/relaxations").add(w.relaxations);
   PROF_COUNT("sssp/dijkstra_passes", w.passes);
   PROF_COUNT("sssp/heap_pops", w.pops);
-  PROF_COUNT("sssp/heap_pushes", w.pushes);
   PROF_COUNT("sssp/relaxations", w.relaxations);
   stats.route_seconds += timer.seconds();
   return true;

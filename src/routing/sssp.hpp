@@ -66,7 +66,7 @@ class SsspKernel {
 
   /// Heap traffic summed over every run().
   struct Work {
-    std::uint64_t passes = 0, pops = 0, pushes = 0, relaxations = 0;
+    std::uint64_t passes = 0, pops = 0, relaxations = 0;
   };
   const Work& work() const { return work_; }
 

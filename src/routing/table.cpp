@@ -29,7 +29,9 @@ bool RoutingTable::extract_path(const Network& net, NodeId src_switch,
     ChannelId c = next(cur, dst_terminal);
     if (c == kInvalidChannel) return false;              // dead end
     const Channel& ch = net.channel(c);
-    if (ch.src != cur || !net.is_switch(ch.dst)) return false;
+    if (ch.src != cur || !net.is_switch(ch.dst) || !net.channel_alive(c)) {
+      return false;
+    }
     out.push_back(c);
     cur = ch.dst;
     if (out.size() > hop_limit) return false;            // forwarding loop

@@ -57,7 +57,9 @@ class RoutingTable {
 
   /// Walks the forwarding tables from `src_switch` to `dst_terminal` and
   /// appends the inter-switch channel sequence to `out` (which is cleared
-  /// first). Returns false on a dead end or forwarding loop.
+  /// first). Returns false on a dead end, a forwarding loop or a hop over a
+  /// channel that is not Network::channel_alive (a stale entry left behind
+  /// by a downed link or switch).
   bool extract_path(const Network& net, NodeId src_switch, NodeId dst_terminal,
                     std::vector<ChannelId>& out) const;
 

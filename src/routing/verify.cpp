@@ -2,36 +2,31 @@
 
 #include <vector>
 
+#include "routing/collect.hpp"
 #include "routing/spath.hpp"
 
 namespace dfsssp {
 
 VerifyReport verify_routing(const Network& net, const RoutingTable& table,
                             const ExecContext& exec) {
-  const auto terminals = net.terminals();
-  std::vector<NodeId> dsts(terminals.begin(), terminals.end());
+  const std::vector<NodeId> sources = routed_sources(net);
   return parallel_map_reduce(
-      exec, dsts.size(), VerifyReport{},
+      exec, sources.size(), VerifyReport{},
       [&](std::size_t i) {
-        const NodeId t = dsts[i];
-        const NodeId dst_switch = net.switch_of(t);
+        const NodeId s = sources[i];
         VerifyReport local;
-        if (!net.terminal_alive(t)) return local;
         std::vector<std::uint32_t> dist;
-        std::vector<ChannelId> seq;
-        bfs_hops_to(net, dst_switch, dist);
-        for (NodeId s : net.switches()) {
-          if (s == dst_switch || net.terminals_on(s) == 0 ||
-              !net.switch_up(s)) {
-            continue;
-          }
+        bfs_hops_to(net, s, dist);
+        walk_routed_paths(net, table, {&s, 1}, [&](const RoutedPath& r) {
           ++local.total_paths;
-          if (!table.extract_path(net, s, t, seq)) {
+          if (!r.walked) {
             ++local.broken;
-            continue;
+          } else if (r.channels.size() >
+                     dist[net.node(net.switch_of(r.dst_terminal)).type_index]) {
+            ++local.non_minimal;
           }
-          if (seq.size() > dist[net.node(s).type_index]) ++local.non_minimal;
-        }
+          return true;
+        });
         return local;
       },
       [](VerifyReport acc, VerifyReport local) {

@@ -34,8 +34,9 @@ TEST(CdgReport, StatsMatchRoutedLayers) {
   Topology topo = make_ring(6, 2);
   RouteResponse out = DfssspRouter().route(RouteRequest(topo));
   ASSERT_TRUE(out.ok);
-  PathSet paths = collect_paths(topo.net, out.table);
-  std::vector<Layer> layers = collect_layers(topo.net, out.table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, out.table, paths, layers);
   auto stats = cdg_layer_stats(paths, layers,
                                static_cast<std::uint32_t>(topo.net.num_channels()));
   std::uint64_t total_paths = 0;
@@ -48,8 +49,9 @@ TEST(CdgReport, DotExportNamesChannels) {
   Topology topo = make_ring(5, 1);
   RouteResponse out = DfssspRouter().route(RouteRequest(topo));
   ASSERT_TRUE(out.ok);
-  PathSet paths = collect_paths(topo.net, out.table);
-  std::vector<Layer> layers = collect_layers(topo.net, out.table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, out.table, paths, layers);
   std::ostringstream os;
   write_cdg_dot(topo.net, paths, layers, 0, os);
   const std::string dot = os.str();

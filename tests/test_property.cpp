@@ -207,14 +207,15 @@ TEST(Property, NetfileRoundTripPreservesRoutingBehavior) {
 }
 
 TEST(Property, CollectedPathsMatchTableLayerDomain) {
-  // collect_paths/collect_layers round-trip: every path's layer is within
-  // the table's layer count and path channels are contiguous.
+  // collect_paths round-trip: every path's layer is within the table's
+  // layer count and path channels are contiguous.
   Rng rng(31337);
   Topology topo = make_random(20, 3, 45, 10, rng);
   RouteResponse out = DfssspRouter().route(RouteRequest(topo));
   ASSERT_TRUE(out.ok);
-  PathSet paths = collect_paths(topo.net, out.table);
-  std::vector<Layer> layers = collect_layers(topo.net, out.table, paths);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, out.table, paths, layers);
   EXPECT_EQ(paths.size(),
             (topo.net.num_switches()) * topo.net.num_terminals() -
                 topo.net.num_terminals());

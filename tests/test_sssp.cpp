@@ -37,7 +37,9 @@ TEST(Sssp, BalancesBetterThanSingleLink) {
   Topology topo = make_clos2(2, 2, 1, 4);
   RouteResponse out = SsspRouter().route(RouteRequest(topo));
   ASSERT_TRUE(out.ok);
-  PathSet paths = collect_paths(topo.net, out.table);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, out.table, paths, layers);
   std::vector<std::uint64_t> load(topo.net.num_channels(), 0);
   for (std::uint32_t p = 0; p < paths.size(); ++p) {
     for (ChannelId c : paths.channels(p)) load[c] += paths.weight(p);

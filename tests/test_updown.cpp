@@ -63,7 +63,9 @@ TEST(UpDown, PathsAreUpThenDown) {
   Topology topo = make_ring(7, 1);
   RouteResponse out = UpDownRouter().route(RouteRequest(topo));
   ASSERT_TRUE(out.ok);
-  PathSet paths = collect_paths(topo.net, out.table);
+  PathSet paths;
+  std::vector<Layer> layers;
+  collect_paths(topo.net, out.table, paths, layers);
   // Recompute ranks from the same center choice.
   // (Any consistent up relation works for the shape check: a violation
   // would show as rank decreasing after it increased along a path.)

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "analysis/certificate.hpp"
+#include "analysis/lints.hpp"
+#include "routing/collect.hpp"
+#include "routing/dfsssp.hpp"
 #include "routing/minhop.hpp"
 #include "topology/generators.hpp"
 
@@ -65,6 +71,34 @@ TEST(VerifyModule, SkipsSwitchesWithoutTerminals) {
   VerifyReport report = verify_routing(topo.net, out.table);
   // Sources: 2 leaves x 4 terminals minus own-switch 2 each = 2 * 2 = 4.
   EXPECT_EQ(report.total_paths, 4U);
+}
+
+TEST(VerifyModule, HopOverDownedLinkIsBroken) {
+  // A stale table that still forwards over a dead link must fail every
+  // check that walks it, not only the reachability oracles.
+  Topology topo = make_ring(6, 2);
+  RouteResponse out = DfssspRouter().route(RouteRequest(topo));
+  ASSERT_TRUE(out.ok);
+  const CertificateResult cert = make_certificate(topo.net, out.table);
+  ASSERT_TRUE(cert.ok);
+  const NodeId sw0 = topo.net.switch_by_index(0);
+  const NodeId t4 = topo.net.terminal_by_index(4);  // on switch 2
+  const ChannelId hop = out.table.next(sw0, t4);
+  ASSERT_NE(hop, kInvalidChannel);
+  topo.net.set_link_up(hop, false);
+
+  std::vector<ChannelId> seq;
+  EXPECT_FALSE(out.table.extract_path(topo.net, sw0, t4, seq));
+  const VerifyReport report = verify_routing(topo.net, out.table);
+  EXPECT_GT(report.broken, 0U);
+  EXPECT_FALSE(check_certificate(topo.net, out.table, cert.cert).ok);
+  EXPECT_GT(lint_routing(topo.net, out.table)
+                .count(LintKind::kUnreachableDestination),
+            0U);
+  PathSet paths;
+  std::vector<Layer> layers;
+  EXPECT_THROW(collect_paths(topo.net, out.table, paths, layers),
+               std::runtime_error);
 }
 
 }  // namespace
