@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
 
     // Every repaired state is independently certified deadlock-free.
     const CertCheckResult check =
-        check_certificate(topo.net, base.table, inc.certificate());
+        check_certificate(topo.net, base.table, base.certificate);
     if (!check.ok) {
       ++cert_failures;
       std::fprintf(stderr, "certificate check failed after event %zu: %s\n",

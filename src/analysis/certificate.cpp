@@ -76,6 +76,22 @@ LayerOrder order_one_layer(const CdgCore& core, std::span<const Layer> layer,
   return result;
 }
 
+/// Why the forwarding walk `r` broke, read off its failing hop: the hop
+/// after the ones it walked, unless it stopped on the loop bound.
+std::string walk_break_cause(const Network& net, const RoutingTable& table,
+                             const RoutedPath& r) {
+  if (r.channels.size() <= net.num_switches()) {
+    const NodeId at = r.channels.empty() ? r.src_switch
+                                         : net.channel(r.channels.back()).dst;
+    const ChannelId c = table.next(at, r.dst_terminal);
+    if (c != kInvalidChannel && net.channel(c).src == at &&
+        !net.channel_alive(c)) {
+      return "crosses dead link " + channel_name(net, c);
+    }
+  }
+  return "dead end or loop";
+}
+
 }  // namespace
 
 CertificateResult make_certificate(const PathSet& paths,
@@ -309,8 +325,9 @@ CertCheckResult check_certificate(const Network& net,
              net.node_name(r.dst_terminal);
     };
     if (!r.walked) {
-      result.error = "broken forwarding path " + pair_name() +
-                     " (dead end or loop); nothing to certify";
+      result.error = "broken forwarding path " + pair_name() + " (" +
+                     walk_break_cause(net, table, r) +
+                     "); nothing to certify";
       return false;
     }
     const Layer l = r.layer;

@@ -32,16 +32,6 @@
 
 namespace dfsssp {
 
-/// Per layer, the channels of that layer's CDG in topological order.
-/// Channels that induce no dependency in the layer (paths of a single
-/// channel) are not listed; the checker only constrains consecutive pairs.
-struct Certificate {
-  Layer num_layers = 1;
-  std::vector<std::vector<ChannelId>> order;  // one entry per layer
-
-  bool empty() const { return order.empty(); }
-};
-
 struct CertificateResult {
   bool ok = false;
   /// Why no certificate could be built for a routing table that is not

@@ -50,7 +50,7 @@ void ChurnEngine::maybe_degrade_meta() {
   }
 }
 
-ChurnDelta ChurnEngine::apply(const FaultEvent& event) {
+ChurnDelta ChurnEngine::flip(const FaultEvent& event) {
   Network& net = topo_->net;
   ChurnDelta delta;
   delta.event = event;
@@ -71,18 +71,6 @@ ChurnDelta ChurnEngine::apply(const FaultEvent& event) {
     net.set_switch_up(event.sw, up);
   }
 
-  if (!up && options_.veto_disconnecting && !net.alive_connected()) {
-    // Roll back: this fault would partition the alive fabric.
-    if (is_link) {
-      net.set_link_up(event.channel, true);
-    } else {
-      net.set_switch_up(event.sw, true);
-    }
-    delta.veto_reason = "would disconnect the alive switches";
-    ++events_vetoed_;
-    return delta;
-  }
-
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const bool alive_after = net.channel_alive(candidates[i]);
     if (alive_before[i] && !alive_after) delta.downed.push_back(candidates[i]);
@@ -93,8 +81,29 @@ ChurnDelta ChurnEngine::apply(const FaultEvent& event) {
   if (!is_link && net.switch_up(event.sw) != sw_up_before) {
     (up ? delta.switches_up : delta.switches_down).push_back(event.sw);
   }
-
   delta.applied = !delta.no_effect();
+  return delta;
+}
+
+ChurnDelta ChurnEngine::apply(const FaultEvent& event) {
+  Network& net = topo_->net;
+  ChurnDelta delta = flip(event);
+
+  if (!is_up_event(event) && options_.veto_disconnecting &&
+      !net.alive_connected()) {
+    // Roll back: this fault would partition the alive fabric.
+    if (is_link_event(event)) {
+      net.set_link_up(event.channel, true);
+    } else {
+      net.set_switch_up(event.sw, true);
+    }
+    ChurnDelta vetoed;
+    vetoed.event = event;
+    vetoed.veto_reason = "would disconnect the alive switches";
+    ++events_vetoed_;
+    return vetoed;
+  }
+
   if (!delta.applied) return delta;  // e.g. re-killing an already-dead link
 
   ++events_applied_;
@@ -144,33 +153,14 @@ ChurnDelta ChurnEngine::apply_all(std::span<const FaultEvent> events) {
     sw_start[i] = net.switch_up(union_sw[i]) ? 1 : 0;
   }
 
-  // Forward pass: apply every event, tracking per-event effect exactly like
-  // apply() does (own candidates, aliveness before/after) so the
-  // events_applied counter stays equal to the serial path's.
+  // Forward pass: flip every event with apply()'s own per-event effect
+  // tracking, so the events_applied counter stays equal to the serial
+  // path's.
   std::uint64_t applied_here = 0;
   bool any_down = false;
   for (const FaultEvent& e : events) {
-    const bool is_link = is_link_event(e);
-    const std::vector<ChannelId> cand = event_candidates(net, e);
-    std::vector<std::uint8_t> alive_before(cand.size());
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      alive_before[i] = net.channel_alive(cand[i]) ? 1 : 0;
-    }
-    const bool sw_up_before = !is_link && net.switch_up(e.sw);
-
-    const bool up = is_up_event(e);
-    if (!up) any_down = true;
-    if (is_link) {
-      net.set_link_up(e.channel, up);
-    } else {
-      net.set_switch_up(e.sw, up);
-    }
-
-    bool effect = !is_link && net.switch_up(e.sw) != sw_up_before;
-    for (std::size_t i = 0; !effect && i < cand.size(); ++i) {
-      effect = (net.channel_alive(cand[i]) ? 1 : 0) != alive_before[i];
-    }
-    if (effect) ++applied_here;
+    if (!is_up_event(e)) any_down = true;
+    if (flip(e).applied) ++applied_here;
   }
 
   if (any_down && options_.veto_disconnecting && !net.alive_connected()) {

@@ -79,6 +79,10 @@ class ChurnEngine {
   std::uint64_t events_vetoed() const { return events_vetoed_; }
 
  private:
+  /// Flips one event's state in the network, with no veto, and returns
+  /// its own effect: its candidate channels' aliveness and its switch's up
+  /// flag, before vs after. `applied` is true when anything changed.
+  ChurnDelta flip(const FaultEvent& event);
   /// Drops generator metadata once the fabric diverges from its generated
   /// structure (see ChurnOptions::degrade_meta).
   void maybe_degrade_meta();

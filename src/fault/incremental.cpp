@@ -24,7 +24,6 @@ void IncrementalDfsssp::reset(const Topology& topo, Layer max_layers) {
   weight_.assign(net.num_channels(), n * n);
   layers_ = FirstFitLayers(net.num_channels(), max_layers);
   dest_.assign(net.num_terminals(), {});
-  certificate_ = {};
   sssp_ = SsspKernel(net.num_switches());
 }
 
@@ -119,7 +118,7 @@ RouteResponse IncrementalDfsssp::finish(const RouteRequest& request,
   // order (Pearce-Kelly invariant), so the certificate falls out of the
   // repair for free — no Kahn re-sort over the whole path set.
   Timer cert_timer;
-  certificate_ = {layers_used, layers_.topological_orders(layers_used)};
+  out.certificate = {layers_used, layers_.topological_orders(layers_used)};
   layering_seconds_ += cert_timer.seconds();
 
   out.ok = true;

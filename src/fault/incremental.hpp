@@ -19,9 +19,9 @@
 //      switch comes back up (a revived switch needs forwarding entries for
 //      every destination, which is a full recompute by definition),
 //
-// and emits a fresh deadlock-freedom certificate after every repair, so the
-// independent checker (analysis/certificate.hpp) can audit each churn step
-// exactly like a from-scratch run.
+// and returns a fresh certificate (RouteResponse::certificate) after every
+// repair, so the independent checker (analysis/certificate.hpp) can audit
+// each churn step exactly like a from-scratch run.
 //
 // The engine speaks the unified RouteRequest/RouteResponse API; repairs
 // report their provenance in RouteResponse::repair.
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/certificate.hpp"
 #include "cdg/first_fit.hpp"
 #include "fault/churn.hpp"
 #include "routing/router.hpp"
@@ -58,10 +57,6 @@ class IncrementalDfsssp {
   /// RouteResponse::repair.fallback_reason saying why — when it cannot
   /// repair in place.
   RouteResponse repair(const RouteRequest& request, const ChurnDelta& delta);
-
-  /// The certificate of the current table, rebuilt by every route() and
-  /// repair() (empty until something was routed).
-  const Certificate& certificate() const { return certificate_; }
 
  private:
   enum class DestStatus { kOk, kOverflow, kDisconnected };
@@ -96,7 +91,6 @@ class IncrementalDfsssp {
   std::vector<std::uint64_t> weight_;  // per channel, persistent
   FirstFitLayers layers_;
   std::vector<DestPaths> dest_;  // per terminal index
-  Certificate certificate_;
 
   SsspKernel sssp_;  // Dijkstra scratch, reused across destinations
 

@@ -13,8 +13,9 @@ namespace dfsssp {
 
 /// One routed pair as the walk hands it to its caller. `walked` is false
 /// when RoutingTable::extract_path failed (a dead end, a forwarding loop or
-/// a hop over a dead channel); `channels` is meaningful only when true, and
-/// views the walk's buffer, so it is valid only during the visit.
+/// a hop over a dead channel); `channels` is then the hops walked before
+/// the failing one. It views the walk's buffer, so it is valid only during
+/// the visit.
 struct RoutedPath {
   NodeId src_switch;
   NodeId dst_terminal;

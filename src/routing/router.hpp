@@ -101,6 +101,9 @@ struct RouteResponse {
   bool ok = false;
   std::string error;
   RoutingTable table;
+  /// The engine's deadlock-freedom proof of `table`; empty from engines
+  /// that build none (all but the incremental DFSSSP engine).
+  Certificate certificate;
   RoutingStats stats;
   RepairProvenance repair;
 

@@ -59,7 +59,8 @@ class RoutingTable {
   /// appends the inter-switch channel sequence to `out` (which is cleared
   /// first). Returns false on a dead end, a forwarding loop or a hop over a
   /// channel that is not Network::channel_alive (a stale entry left behind
-  /// by a downed link or switch).
+  /// by a downed link or switch); `out` then holds the hops walked before
+  /// the failing one.
   bool extract_path(const Network& net, NodeId src_switch, NodeId dst_terminal,
                     std::vector<ChannelId>& out) const;
 
@@ -75,6 +76,17 @@ class RoutingTable {
   std::vector<ChannelId> next_;
   std::vector<Layer> layer_;
   Layer num_layers_ = 1;
+};
+
+/// A deadlock-freedom proof of one RoutingTable: per layer, the channels
+/// of that layer's CDG in topological order. Channels that induce no
+/// dependency in the layer (paths of a single channel) are not listed; the
+/// checker (analysis/certificate.hpp) only constrains consecutive pairs.
+struct Certificate {
+  Layer num_layers = 1;
+  std::vector<std::vector<ChannelId>> order;  // one entry per layer
+
+  bool empty() const { return order.empty(); }
 };
 
 }  // namespace dfsssp

@@ -5,8 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/certificate.hpp"
 #include "common/timer.hpp"
 #include "obs/rusage.hpp"
+#include "obs/trace.hpp"
 #include "routing/registry.hpp"
 #include "service/digest.hpp"
 
@@ -109,13 +111,30 @@ ServiceResponse ServiceCore::publish(const ServiceRequest& r,
   if (!route.ok) {
     return error_response(r, Status::kErrRouteFailed, route.error);
   }
+  TRACE_SPAN("service/publish");
   auto snap = std::make_shared<ForwardingSnapshot>();
   snap->table = std::move(route.table);
   snap->layers_used = route.stats.layers_used;
   snap->paths = route.stats.paths;
-  const std::uint64_t version = slot_.publish(std::move(snap));
+  const std::uint64_t version = slot_.publish(snap);
   snapshot_swaps_.inc();
   snapshot_version_gauge_.set(version);
+  if (journal_) {
+    TRACE_SPAN("service/digest");
+    table_digest_ = table_digest(topo_.net, snap->table);
+    // The engine's own certificate, else the published table's canonical
+    // one; a failed build (not for a table the engine accepted) digests 0.
+    CertificateResult cert;
+    cert.cert = std::move(route.certificate);
+    cert.ok = !cert.cert.empty();
+    if (!cert.ok) {
+      try {
+        cert = make_certificate(topo_.net, snap->table);
+      } catch (const std::exception&) {
+      }
+    }
+    cert_digest_ = cert.ok ? certificate_digest(cert.cert) : 0;
+  }
 
   ServiceResponse resp;
   resp.kind = r.kind;
@@ -136,33 +155,16 @@ void ServiceCore::journal_mutation(const ServiceRequest& r,
                                    std::uint64_t version_before,
                                    bool fallback,
                                    std::uint64_t latency_ns) {
+  TRACE_SPAN("service/journal");
   const bool ok = resp.status == Status::kOk;
-  std::uint64_t tdig = 0;
-  std::uint64_t cdig = 0;
-  if (ok) {
-    const std::shared_ptr<const ForwardingSnapshot> snap = slot_.load();
-    tdig = table_digest(topo_.net, snap->table);
-    // The certificate is recomputed from the published table — canonical
-    // and thread-count invariant — so its digest pins the generation's
-    // deadlock-freedom proof. A broken walk (cannot happen for a table the
-    // engine just accepted) degrades to digest 0 rather than killing the
-    // daemon.
-    try {
-      const CertificateResult cert = make_certificate(topo_.net, snap->table);
-      if (cert.ok) cdig = certificate_digest(cert.cert);
-    } catch (const std::exception&) {
-      cdig = 0;
-    }
-  }
-
   obs::journal::Record rec;
   rec.logical_ts = ts;
   rec.version_before = version_before;
   rec.version_after = ok ? resp.snapshot_version : version_before;
   rec.layers = static_cast<std::uint8_t>(ok ? resp.layers : 0);
   rec.paths = ok ? resp.paths : 0;
-  rec.table_digest = tdig;
-  rec.cert_digest = cdig;
+  rec.table_digest = ok ? table_digest_ : 0;
+  rec.cert_digest = ok ? cert_digest_ : 0;
 
   if (ok && resp.snapshot_version != version_before) {
     obs::journal::Record swap = rec;
@@ -182,6 +184,11 @@ void ServiceCore::journal_mutation(const ServiceRequest& r,
   journal_->append(rec);
 }
 
+RouteResponse ServiceCore::route_from_scratch(const RouteRequest& req) {
+  TRACE_SPAN("service/engine");
+  return router_->route(req);
+}
+
 ServiceResponse ServiceCore::do_route(const ServiceRequest& r) {
   routes_.inc();
   ScopedTimer timer(route_ns_);
@@ -190,7 +197,7 @@ ServiceResponse ServiceCore::do_route(const ServiceRequest& r) {
   RouteRequest req(topo_, r.max_layers != 0 ? r.max_layers : max_layers_);
   req.metrics = &metrics_;
   RouteResponse route =
-      incremental_ ? incremental_->route(req) : router_->route(req);
+      incremental_ ? incremental_->route(req) : route_from_scratch(req);
   ServiceResponse resp = publish(r, std::move(route), timer.elapsed_ns());
   if (journal_) {
     journal_mutation(r, resp, ++logical_clock_, version_before,
@@ -246,7 +253,7 @@ ServiceResponse ServiceCore::do_repair(const ServiceRequest& r) {
   } else {
     // Non-incremental engines repair a degraded fabric the only way they
     // can: from scratch.
-    route = router_->route(req);
+    route = route_from_scratch(req);
     route.repair.fallback_reason = "engine has no incremental repair";
     fallback = true;
   }

@@ -51,7 +51,8 @@ struct ServiceCoreOptions {
   /// Flight recorder (obs/journal). Off by default; when on, every
   /// mutation emits journal records (and the published table + certificate
   /// are digested per generation, which is what makes `dfreplay --verify`
-  /// possible — at the cost of one canonical certificate build per swap).
+  /// possible — one canonical certificate build per swap for engines that
+  /// return no certificate of their own).
   bool journal = false;
   std::uint32_t journal_capacity = 8192;  // ring size, records
   /// Append-only DFJR segment path; empty = in-memory ring only.
@@ -101,14 +102,17 @@ class ServiceCore {
   ServiceResponse do_snapshot_info(const ServiceRequest& r);
   ServiceResponse do_journal_tail(const ServiceRequest& r);
   ServiceResponse do_journal_stats(const ServiceRequest& r);
+  /// A from-scratch route by router_ (every engine but "dfsssp").
+  RouteResponse route_from_scratch(const RouteRequest& req);
   /// Publishes `resp`'s table as the next snapshot generation and fills
-  /// the route/repair response fields shared by both kinds.
+  /// the route/repair response fields shared by both kinds; with the
+  /// journal on, also sets the generation's digests.
   ServiceResponse publish(const ServiceRequest& r, RouteResponse resp,
                           std::uint64_t elapsed_ns);
   /// Journals the snapshot_swap + completion records of one route/repair
   /// transaction (call under engine_mu_ with journal_ set). `ts` is the
-  /// transaction's logical timestamp; digests are computed from the
-  /// freshly published snapshot when `resp.status == kOk`.
+  /// transaction's logical timestamp; records carry the published
+  /// generation's digests when `resp.status == kOk`.
   void journal_mutation(const ServiceRequest& r, const ServiceResponse& resp,
                         std::uint64_t ts, std::uint64_t version_before,
                         bool fallback, std::uint64_t latency_ns);
@@ -128,6 +132,9 @@ class ServiceCore {
   /// engine_mu_), stamped into every record that request emits. Replay
   /// groups records back into transactions by this value.
   std::uint64_t logical_clock_ = 0;  // guarded by engine_mu_
+  // The published generation's digests (journal on; guarded by engine_mu_).
+  std::uint64_t table_digest_ = 0;
+  std::uint64_t cert_digest_ = 0;
   std::uint64_t start_ns_ = 0;       // daemon birth, for uptime
   std::atomic<std::uint32_t> pending_count_{0};  // lock-free mirror
   SnapshotSlot slot_;

@@ -4,15 +4,14 @@
 // FNV-1a 64 over a canonical serialization: node ids ascend, so two
 // RoutingTables hash equal iff every (switch, terminal) slot's next
 // channel and layer agree — "bitwise-identical forwarding snapshot" in one
-// u64. The certificate digest hashes the per-layer canonical Kahn orders
-// of make_certificate, which are thread-count invariant by construction,
-// so it pins the deadlock-freedom proof of a generation, not just its
-// table.
+// u64. The certificate digest hashes the engine's own per-layer orders
+// (DFSSSP's Pearce-Kelly orders) or, from engines that return none,
+// make_certificate's canonical Kahn orders, so it pins the deterministic
+// deadlock-freedom proof of a generation, not just its table.
 #pragma once
 
 #include <cstdint>
 
-#include "analysis/certificate.hpp"
 #include "routing/table.hpp"
 #include "topology/network.hpp"
 

@@ -182,7 +182,7 @@ TEST(IncrementalDfsssp, SingleLinkRepairReroutesOnlyAffected) {
   expect_reachable(topo.net, repaired.table);
 
   const CertCheckResult check =
-      check_certificate(topo.net, repaired.table, inc.certificate());
+      check_certificate(topo.net, repaired.table, repaired.certificate);
   EXPECT_TRUE(check.ok) << check.error;
 }
 
@@ -205,7 +205,7 @@ TEST(IncrementalDfsssp, MonotoneKillsStayMinimalAndCertified) {
     EXPECT_TRUE(report.connected());
     EXPECT_TRUE(report.minimal());
     const CertCheckResult check =
-        check_certificate(topo.net, out.table, inc.certificate());
+        check_certificate(topo.net, out.table, out.certificate);
     ASSERT_TRUE(check.ok) << check.error;
   }
 }
@@ -453,14 +453,14 @@ TEST(ChurnSoak, RepairStatesReachableCertifiedAndThreadInvariant) {
       if (delta.applied) {
         expect_reachable(topo.net, out.table);
         const CertCheckResult check =
-            check_certificate(topo.net, out.table, inc.certificate());
+            check_certificate(topo.net, out.table, out.certificate);
         ASSERT_TRUE(check.ok)
             << ev.describe(topo.net) << ": " << check.error;
       }
 
       std::ostringstream state;
       write_forwarding_dump(topo.net, out.table, state);
-      write_certificate(topo.net, inc.certificate(), state);
+      write_certificate(topo.net, out.certificate, state);
       if (threads == 1) {
         reference.push_back(state.str());
       } else {

@@ -15,13 +15,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <cstdio>
 
+#include "analysis/certificate.hpp"
 #include "common/frame.hpp"
 #include "fault/churn.hpp"
 #include "fault/incremental.hpp"
@@ -29,6 +33,7 @@
 #include "obs/journal/journal.hpp"
 #include "obs/metrics.hpp"
 #include "service/core.hpp"
+#include "service/digest.hpp"
 #include "service/envelope.hpp"
 #include "service/replay.hpp"
 #include "service/server.hpp"
@@ -698,43 +703,127 @@ TEST(ServiceJournal, DisabledJournalIsAStructuredError) {
   EXPECT_EQ(core.handle(jstats).status, Status::kErrBadArgument);
 }
 
-TEST(ServiceJournal, ReplayReproducesTheJournalBitExactly) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "service_replay.dfjr";
-  std::remove(path.c_str());
+TEST(ServiceJournal, SwapDigestsPinTheEnginesCertificate) {
+  obs::Registry reg;
+  Topology served = make_kary_ntree(4, 2);
+  Topology mirror = served;
+  ServiceCoreOptions options;
+  options.metrics = &reg;
+  options.journal = true;
+  options.journal_config = "kary-tree:4:2";
+  ServiceCore core(std::move(served), options);
 
-  {
-    obs::Registry reg;
-    ServiceCoreOptions options;
-    options.metrics = &reg;
-    options.journal = true;
-    options.journal_path = path;
-    options.journal_config = "kary-tree:4:2";
-    ServiceCore core(make_kary_ntree(4, 2), options);
-    drive_mutations(core);
-    ASSERT_TRUE(core.journal()->sink_ok()) << core.journal()->error();
-  }  // core destroyed: the segment is closed and complete
+  // The daemon's engine mirrored in process: each generation must be
+  // journaled with the digest of the certificate its engine response
+  // carried, and that certificate must prove the generation's table.
+  IncrementalDfsssp engine;
+  ChurnEngine churn(mirror);
+  std::vector<std::uint64_t> want_cert, want_table;
+  const auto expect_proof = [&](const RouteResponse& out) {
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_FALSE(out.certificate.empty());
+    const CertCheckResult check =
+        check_certificate(mirror.net, out.table, out.certificate);
+    EXPECT_TRUE(check.ok) << check.error;
+    want_cert.push_back(certificate_digest(out.certificate));
+    want_table.push_back(table_digest(mirror.net, out.table));
+  };
 
-  obs::journal::JournalFile file;
-  std::string error;
-  ASSERT_TRUE(obs::journal::read_journal(path, file, error)) << error;
-  EXPECT_EQ(file.topo_config, "kary-tree:4:2");
-  EXPECT_EQ(file.engine, "dfsssp");
-  ASSERT_GE(file.records.size(), 10u);  // 1+6+1 triggers + batch + 2 swaps
+  ServiceRequest route;
+  route.kind = MsgKind::kRoute;
+  ASSERT_EQ(core.handle(route).status, Status::kOk);
+  expect_proof(engine.route(RouteRequest(mirror)));
 
-  // A fresh core replays the recorded mutations and must emit the very
-  // same records — digests, versions, layer counts, seq numbering.
-  const auto target = make_inprocess_target(file);
-  const ReplayResult result = replay_journal(file, *target, true);
-  EXPECT_TRUE(result.error.empty()) << result.error;
-  for (const ReplayMismatch& m : result.mismatches) {
-    ADD_FAILURE() << "ts=" << m.logical_ts << ": " << m.detail;
+  const FaultSchedule schedule =
+      FaultSchedule::random(mirror.net, {.num_events = 12}, 0xFEED);
+  ASSERT_FALSE(schedule.empty());
+  ServiceRequest repair;
+  repair.kind = MsgKind::kRepair;
+  for (std::size_t i = 0; i < schedule.size(); i += 4) {
+    const std::span<const FaultEvent> batch(
+        schedule.events().data() + i,
+        std::min<std::size_t>(4, schedule.size() - i));
+    for (const FaultEvent& e : batch) {
+      ASSERT_EQ(core.handle(make_fault(e)).status, Status::kOk);
+    }
+    ASSERT_EQ(core.handle(repair).status, Status::kOk);
+    expect_proof(engine.repair(RouteRequest(mirror), churn.apply_all(batch)));
   }
-  EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.transactions, 8u);  // route + 6 faults + repair
-  EXPECT_EQ(result.records_checked, file.records.size());
-  EXPECT_EQ(result.generations, 2u);
-  std::remove(path.c_str());
+  // An empty repair publishes nothing; its record carries the current
+  // generation's digests again.
+  ASSERT_EQ(core.handle(repair).status, Status::kOk);
+
+  ServiceRequest jtail;
+  jtail.kind = MsgKind::kJournalTail;
+  jtail.journal_from_seq = 1;
+  const ServiceResponse tail = core.handle(jtail);
+  ASSERT_EQ(tail.status, Status::kOk);
+  std::size_t generation = 0;
+  for (const obs::journal::Record& rec : tail.journal_records) {
+    if (rec.kind != obs::journal::EventKind::kSnapshotSwap) continue;
+    ASSERT_LT(generation, want_cert.size());
+    EXPECT_EQ(rec.cert_digest, want_cert[generation])
+        << "generation " << rec.version_after;
+    EXPECT_EQ(rec.table_digest, want_table[generation])
+        << "generation " << rec.version_after;
+    ++generation;
+  }
+  EXPECT_EQ(generation, want_cert.size());
+  ASSERT_FALSE(tail.journal_records.empty());
+  const obs::journal::Record& last = tail.journal_records.back();
+  EXPECT_EQ(last.kind, obs::journal::EventKind::kRepair);
+  EXPECT_EQ(last.cert_digest, want_cert.back());
+  EXPECT_EQ(last.table_digest, want_table.back());
+}
+
+TEST(ServiceJournal, ReplayReproducesTheJournalBitExactly) {
+  // dfsssp journals its engine's own certificate; updown returns none, so
+  // its generations are certified from the published table.
+  for (const std::string engine : {"dfsssp", "updown"}) {
+    SCOPED_TRACE(engine);
+    const std::string path = std::string(::testing::TempDir()) +
+                             "service_replay_" + engine + ".dfjr";
+    std::remove(path.c_str());
+
+    {
+      obs::Registry reg;
+      ServiceCoreOptions options;
+      options.engine = engine;
+      options.metrics = &reg;
+      options.journal = true;
+      options.journal_path = path;
+      options.journal_config = "kary-tree:4:2";
+      ServiceCore core(make_kary_ntree(4, 2), options);
+      drive_mutations(core);
+      ASSERT_TRUE(core.journal()->sink_ok()) << core.journal()->error();
+    }  // core destroyed: the segment is closed and complete
+
+    obs::journal::JournalFile file;
+    std::string error;
+    ASSERT_TRUE(obs::journal::read_journal(path, file, error)) << error;
+    EXPECT_EQ(file.topo_config, "kary-tree:4:2");
+    EXPECT_EQ(file.engine, engine);
+    ASSERT_GE(file.records.size(), 10u);  // 1+6+1 triggers + batch + 2 swaps
+    for (const obs::journal::Record& r : file.records) {
+      if (r.kind == obs::journal::EventKind::kSnapshotSwap) {
+        EXPECT_NE(r.cert_digest, 0u);
+      }
+    }
+
+    // A fresh core replays the recorded mutations and must emit the very
+    // same records — digests, versions, layer counts, seq numbering.
+    const auto target = make_inprocess_target(file);
+    const ReplayResult result = replay_journal(file, *target, true);
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    for (const ReplayMismatch& m : result.mismatches) {
+      ADD_FAILURE() << "ts=" << m.logical_ts << ": " << m.detail;
+    }
+    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.transactions, 8u);  // route + 6 faults + repair
+    EXPECT_EQ(result.records_checked, file.records.size());
+    EXPECT_EQ(result.generations, 2u);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ServiceJournal, ReplayDetectsTamperedRecords) {

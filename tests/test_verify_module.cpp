@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "analysis/certificate.hpp"
 #include "analysis/lints.hpp"
@@ -91,7 +92,19 @@ TEST(VerifyModule, HopOverDownedLinkIsBroken) {
   EXPECT_FALSE(out.table.extract_path(topo.net, sw0, t4, seq));
   const VerifyReport report = verify_routing(topo.net, out.table);
   EXPECT_GT(report.broken, 0U);
-  EXPECT_FALSE(check_certificate(topo.net, out.table, cert.cert).ok);
+  // The certificate checker names the dead link, not "dead end or loop".
+  const CertCheckResult check = check_certificate(topo.net, out.table, cert.cert);
+  EXPECT_FALSE(check.ok);
+  const Channel& down = topo.net.channel(hop);
+  const std::string link = topo.net.node_name(down.src) + "->" +
+                           topo.net.node_name(down.dst);
+  const std::string back = topo.net.node_name(down.dst) + "->" +
+                           topo.net.node_name(down.src);
+  EXPECT_TRUE(check.error.find("crosses dead link " + link) !=
+                  std::string::npos ||
+              check.error.find("crosses dead link " + back) !=
+                  std::string::npos)
+      << check.error;
   EXPECT_GT(lint_routing(topo.net, out.table)
                 .count(LintKind::kUnreachableDestination),
             0U);
